@@ -12,9 +12,10 @@
 #include "bench_common.hpp"
 #include "parallel/parallel.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 250));
   const auto out_dir =
       std::filesystem::path(args.get_string("out-dir", "bench_results"));
@@ -97,4 +98,10 @@ int main(int argc, char** argv) {
                "differs.\nWrote "
             << (out_dir / "abl_abm_generality.csv").string() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

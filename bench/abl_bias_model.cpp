@@ -13,9 +13,10 @@
 #include "parallel/parallel.hpp"
 #include "stats/descriptive.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 800, 8, 1600);
   args.check_unused();
 
@@ -60,4 +61,10 @@ int main(int argc, char** argv) {
   std::cout << "Wrote " << (budget.out_dir / "abl_bias_model.csv").string()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

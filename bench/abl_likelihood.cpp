@@ -12,9 +12,10 @@
 #include "parallel/parallel.hpp"
 #include "stats/descriptive.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 1200, 8, 2400);
   args.check_unused();
 
@@ -68,4 +69,10 @@ int main(int argc, char** argv) {
                "keep a usable ensemble at equal accuracy.\nWrote "
             << (budget.out_dir / "abl_likelihood.csv").string() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

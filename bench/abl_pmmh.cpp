@@ -12,9 +12,10 @@
 #include "core/pmmh.hpp"
 #include "parallel/parallel.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const auto budget_sims =
       static_cast<std::size_t>(args.get_int("budget", 12000));
   const auto out_dir =
@@ -93,4 +94,10 @@ int main(int argc, char** argv) {
                "design point), PMMH serializes it.\nWrote "
             << (out_dir / "abl_pmmh.csv").string() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -9,9 +9,10 @@
 #include "bench_common.hpp"
 #include "stats/descriptive.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const auto total_budget =
       static_cast<std::size_t>(args.get_int("budget", 6400));
   const auto out_dir =
@@ -84,4 +85,10 @@ int main(int argc, char** argv) {
   def_table.print(std::cout);
   std::cout << "\nWrote " << (out_dir / "abl_replicates.csv").string() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

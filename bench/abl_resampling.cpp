@@ -13,9 +13,10 @@
 #include "parallel/parallel.hpp"
 #include "stats/descriptive.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 1500, 8, 3000);
   const auto repeats = static_cast<std::size_t>(args.get_int("repeats", 8));
   args.check_unused();
@@ -71,4 +72,10 @@ int main(int argc, char** argv) {
   std::cout << "\nWrote " << (budget.out_dir / "abl_resampling.csv").string()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -45,10 +45,7 @@ struct ArmTiming {
   std::vector<double> samples;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 32));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 4));
@@ -190,4 +187,10 @@ int main(int argc, char** argv) {
               << "x)\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -44,10 +44,7 @@ double best_of(std::vector<double> samples) {
   return samples.front();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 48));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 2));
@@ -62,7 +59,6 @@ int main(int argc, char** argv) {
   // Truths simulate once per arm construction; run them all through the
   // same process-wide scenario cache by building sweeps up front.
   supervise::SupervisorOptions sup;
-  sup.child_threads = 1;
   sup.stall_timeout_seconds = 60.0;
 
   std::vector<double> direct_s, supervised_s, recovery_s;
@@ -152,4 +148,10 @@ int main(int argc, char** argv) {
               << "x <= " << max_overhead << "x\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,27 +52,14 @@ struct Cell {
   std::vector<WindowTrace> windows;
 };
 
-std::vector<double> parse_double_list(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stod(tok));
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 48));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 4));
   const std::size_t n_sims = n_params * replicates;
   const double sigma = args.get_double("sigma", 1.0);
   const std::vector<double> thresholds =
-      parse_double_list(args.get_string("thresholds", "0.3,0.5,0.7"));
+      args.get_double_list("thresholds", "0.3,0.5,0.7");
   const int repeats = static_cast<int>(args.get_int("repeats", 2));
   const bool check = args.get_flag("check");
   const double max_overhead = args.get_double("max-overhead", 1.3);
@@ -248,4 +234,10 @@ int main(int argc, char** argv) {
     }
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -76,25 +76,7 @@ struct AbmEngineCell {
   double agent_days_per_second = 0.0;
 };
 
-std::vector<std::int64_t> parse_population_list(const std::string& csv) {
-  std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? csv.size() - pos
-                                                   : comma - pos);
-    if (!tok.empty()) out.push_back(std::stoll(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 48));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 4));
@@ -102,8 +84,8 @@ int main(int argc, char** argv) {
       args.get_int("resample", static_cast<std::int64_t>(n_params * replicates)));
   const double likelihood_k = args.get_double("likelihood-k", 1.0);
   const auto abm_population = args.get_int("abm-population", 6000);
-  const std::vector<std::int64_t> abm_populations = parse_population_list(
-      args.get_string("abm-populations", "6000,60000,500000,2700000"));
+  const std::vector<std::int64_t> abm_populations =
+      args.get_int_list("abm-populations", "6000,60000,500000,2700000");
   const auto abm_sweep_params =
       static_cast<std::size_t>(args.get_int("abm-sweep-params", 6));
   const auto abm_sweep_replicates =
@@ -296,7 +278,7 @@ int main(int argc, char** argv) {
       << bench::json_build_stamp()
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
-      << "  \"omp_max_threads\": " << machine_threads << ",\n"
+      << "  \"max_threads\": " << machine_threads << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"simd_level\": \""
       << simd::level_name(simd::active_level()) << "\",\n"
@@ -362,4 +344,10 @@ int main(int argc, char** argv) {
     failed = true;
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

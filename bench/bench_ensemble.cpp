@@ -101,10 +101,7 @@ Timing time_repeats(int repeats, const std::function<void()>& fn) {
   return timing;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 64));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 4));
@@ -122,7 +119,7 @@ int main(int argc, char** argv) {
   constexpr std::int32_t kToDay = 33;
   const std::size_t window_len = 14;
   const std::vector<int> thread_counts = {1, 4, 8};
-  // Captured before any set_threads call: omp_get_max_threads reports the
+  // Captured before any set_threads call: max_threads reports the
   // last value set, so this is the only moment it reflects the machine.
   const int machine_threads = parallel::max_threads();
 
@@ -253,7 +250,7 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"pool_backend\": \""
       << parallel::backend_name(parallel::backend()) << "\",\n"
-      << "  \"omp_max_threads\": " << machine_threads << ",\n"
+      << "  \"max_threads\": " << machine_threads << ",\n"
       << "  \"replicates\": " << replicates << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"simd_level\": \"" << simd::level_name(vec_level) << "\",\n"
@@ -316,4 +313,10 @@ int main(int argc, char** argv) {
     }
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -1,6 +1,6 @@
 // Thread-scaling benchmark for the parallel layer: propagate+score
-// throughput for all three simulator backends x every pool backend
-// {serial, omp, pool} x 1/2/4/8 threads, on the paper-baseline
+// throughput for all three simulator backends x both pool backends
+// {serial, pool} x 1/2/4/8 threads, on the paper-baseline
 // single-window workload (days 20-33). Emits machine-readable results to
 // BENCH_scaling.json so the thread-scaling trajectory of the execution
 // engine is tracked alongside BENCH_ensemble.json's propagate numbers.
@@ -98,10 +98,7 @@ Timing time_repeats(int repeats, const std::function<void()>& fn) {
   return timing;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const io::Args args(argc, argv);
+int run(const epismc::io::Args& args) {
   const auto n_params = static_cast<std::size_t>(args.get_int("n-params", 32));
   const auto replicates =
       static_cast<std::size_t>(args.get_int("replicates", 4));
@@ -122,18 +119,6 @@ int main(int argc, char** argv) {
   // value set, so this is the only moment it reflects the machine.
   const int machine_threads = parallel::max_threads();
   const parallel::PoolBackend ambient = parallel::backend();
-
-  // Which pool backends are real on this build: requesting omp in a build
-  // without OpenMP clamps to serial, which would just re-measure serial
-  // under a misleading label.
-  const bool omp_available =
-      parallel::set_backend(parallel::PoolBackend::kOmp) ==
-      parallel::PoolBackend::kOmp;
-  parallel::set_backend(ambient);
-  std::vector<parallel::PoolBackend> pool_backends = {
-      parallel::PoolBackend::kSerial};
-  if (omp_available) pool_backends.push_back(parallel::PoolBackend::kOmp);
-  pool_backends.push_back(parallel::PoolBackend::kPool);
 
   struct Simulator {
     std::string name;
@@ -199,7 +184,8 @@ int main(int argc, char** argv) {
     pass();
     const std::vector<double> ref_scores = scores;
 
-    for (const parallel::PoolBackend pb : pool_backends) {
+    for (const parallel::PoolBackend pb :
+         {parallel::PoolBackend::kSerial, parallel::PoolBackend::kPool}) {
       for (const int threads : thread_counts) {
         parallel::set_backend(pb);
         parallel::set_threads(threads);
@@ -250,7 +236,6 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"pool_backend\": \""
       << parallel::backend_name(ambient) << "\",\n"
-      << "  \"omp_available\": " << (omp_available ? "true" : "false") << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"replicates\": " << replicates << ",\n"
       << "  \"skipped_few_cores\": " << (hc < 4 ? "true" : "false") << ",\n"
@@ -297,4 +282,10 @@ int main(int argc, char** argv) {
     }
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

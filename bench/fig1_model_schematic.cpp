@@ -10,9 +10,10 @@
 #include "epi/compartments.hpp"
 #include "epi/parameters.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   api::apply_threads_flag(args);
   args.check_unused();
 
@@ -73,4 +74,10 @@ int main(int argc, char** argv) {
             << p.asymptomatic_infectiousness << ", detected "
             << p.detected_infectiousness << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -7,9 +7,10 @@
 #include "bench_common.hpp"
 #include "epi/reproduction.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const auto out_dir =
       std::filesystem::path(args.get_string("out-dir", "bench_results"));
   api::apply_threads_flag(args);
@@ -101,4 +102,10 @@ int main(int argc, char** argv) {
                    epi::effective_infectious_duration(scenario.params), 1)
             << " days)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

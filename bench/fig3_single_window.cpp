@@ -12,9 +12,10 @@
 #include "parallel/parallel.hpp"
 #include "stats/histogram.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 2000, 10, 4000);
   args.check_unused();
 
@@ -117,4 +118,10 @@ int main(int argc, char** argv) {
   std::cout << "Wrote "
             << (budget.out_dir / "fig3_posterior_draws.csv").string() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

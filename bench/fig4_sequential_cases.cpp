@@ -16,9 +16,10 @@
 #include "bench_common.hpp"
 #include "parallel/parallel.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args);
 #ifdef EPISMC_WITH_DEATHS
   const bool use_deaths = !args.get_flag("no-deaths");
@@ -139,4 +140,10 @@ int main(int argc, char** argv) {
             << "\nTotal wall time: " << io::Table::num(wall) << "s on "
             << parallel::max_threads() << " threads\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -249,11 +249,6 @@ void BM_ParallelFor(benchmark::State& state) {
   const auto backend = static_cast<parallel::PoolBackend>(state.range(0));
   const auto count = static_cast<std::size_t>(state.range(1));
   const auto body_spin = static_cast<int>(state.range(2));
-  if (backend == parallel::PoolBackend::kOmp &&
-      parallel::set_backend(backend) != backend) {
-    state.SkipWithError("OpenMP not compiled in");
-    return;
-  }
   const parallel::ScopedBackend guard(backend);
   std::vector<double> out(count);
   for (auto _ : state) {
@@ -271,7 +266,6 @@ void BM_ParallelFor(benchmark::State& state) {
 BENCHMARK(BM_ParallelFor)
     ->ArgNames({"backend", "count", "spin"})
     ->ArgsProduct({{static_cast<int>(parallel::PoolBackend::kSerial),
-                    static_cast<int>(parallel::PoolBackend::kOmp),
                     static_cast<int>(parallel::PoolBackend::kPool)},
                    {64, 4096},
                    {0, 400}});
@@ -426,4 +420,12 @@ BENCHMARK(BM_GaussianSqrtLikelihood);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unrecognized flag exits 2 like every
+// other bench and example.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -3,7 +3,7 @@
 // (theta, s, rho) tuples; this bench fixes one window's workload and sweeps
 // the thread count, reporting speedup and parallel efficiency. It also
 // verifies that results are bit-identical across thread counts (the
-// counter-based RNG contract). --pool=serial|omp|pool selects the
+// counter-based RNG contract). --pool=serial|pool selects the
 // parallel_for engine the sweep runs on (default: the ambient backend, so
 // EPISMC_POOL also works).
 
@@ -12,23 +12,18 @@
 #include "bench_common.hpp"
 #include "parallel/parallel.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 600, 5, 1200);
-  const std::string thread_list = args.get_string("threads", "1,2,4,8,16,24");
-  const std::string pool_name = args.get_string("pool", "");
+  const std::vector<std::int64_t> thread_counts =
+      args.get_int_list("threads", "1,2,4,8,16,24");
+  api::apply_pool_flag(args);
   args.check_unused();
-  if (!pool_name.empty()) parallel::set_backend(pool_name);
 
   (void)bench::paper_truth();  // simulate once, outside the timed loops
 
-  std::vector<int> thread_counts;
-  {
-    std::stringstream ss(thread_list);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) thread_counts.push_back(std::stoi(tok));
-  }
   const int hw = parallel::max_threads();
 
   std::cout << "=== Strong scaling: one calibration window, "
@@ -77,4 +72,10 @@ int main(int argc, char** argv) {
   std::cout << "Wrote " << (budget.out_dir / "tab1_scaling.csv").string()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

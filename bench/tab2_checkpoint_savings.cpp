@@ -10,9 +10,10 @@
 #include "bench_common.hpp"
 #include "parallel/parallel.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 400, 5, 800);
   args.check_unused();
 
@@ -80,4 +81,10 @@ int main(int argc, char** argv) {
             << (budget.out_dir / "tab2_checkpoint_savings.csv").string()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

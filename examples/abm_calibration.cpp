@@ -17,9 +17,10 @@
 #include "api/api.hpp"
 #include "io/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   api::CalibrationSession session;
@@ -84,4 +85,10 @@ int main(int argc, char** argv) {
                                   static_cast<double>(state.population()), 2)
             << "% of the population is an undetected source).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -10,13 +10,15 @@
 // plus which slot resume_latest would pick -- the same io::inspect_archive
 // probe StreamingCalibrator uses for recovery. If a supervisor left its
 // report next to the slots (BASE.supervision), the per-task attempt
-// history is printed too. Exits 1 when no inspected archive is usable.
+// history is printed too. Exits 1 when no inspected archive is usable,
+// 2 on a command-line mistake.
 
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
-#include "io/args.hpp"
+#include "api/cli.hpp"
 #include "io/checkpoint_rotation.hpp"
 #include "io/table.hpp"
 #include "supervise/report.hpp"
@@ -72,20 +74,16 @@ void maybe_print_supervision(const std::string& base) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const epismc::io::Args& args) {
   using namespace epismc;
 
-  const io::Args args(argc, argv);
   const std::string path = args.get_string("path", "");
   const bool single = args.get_flag("single");
   args.check_unused();
   if (path.empty()) {
-    std::cerr << "usage: checkpoint_inspect --path=BASE [--single]\n"
-                 "  BASE is a rotation base (inspects BASE.a and BASE.b)\n"
-                 "  --single inspects BASE itself as one sealed archive\n";
-    return 2;
+    throw std::invalid_argument(
+        "--path=BASE is required: a rotation base (inspects BASE.a and "
+        "BASE.b), or with --single one sealed archive");
   }
 
   io::Table table(
@@ -124,4 +122,10 @@ int main(int argc, char** argv) {
   }
   maybe_print_supervision(path);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

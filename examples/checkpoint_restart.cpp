@@ -47,11 +47,8 @@ void feed(epismc::stream::StreamingCalibrator& cal,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
   const auto replays = static_cast<std::size_t>(args.get_int("replays", 500));
   api::apply_threads_flag(args);
@@ -203,4 +200,10 @@ int main(int argc, char** argv) {
             << "\n";
   std::filesystem::remove(stream_path);
   return (identical && posterior_identical) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -18,9 +18,10 @@
 #include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   const auto draws = static_cast<std::size_t>(args.get_int("draws", 400));
@@ -110,4 +111,10 @@ int main(int argc, char** argv) {
             << io::Table::num(stats::quantile(day90_ensemble, 0.5), 0)
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -17,10 +17,11 @@
 #include "api/api.hpp"
 #include "io/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
 
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   api::CalibrationSession session;
@@ -82,4 +83,10 @@ int main(int argc, char** argv) {
             << ", propagation=" << io::Table::num(window.diag.propagate_seconds)
             << "s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -3,9 +3,9 @@
 // ROADMAP's "as many scenarios as you can imagine".
 //
 // Each (scenario, simulator) cell runs a full sequential calibration;
-// cells execute OpenMP-parallel and the sweep output is byte-identical
-// regardless of --threads (counter-based RNG addressing, see
-// parallel/parallel.hpp).
+// cells execute in parallel on the pool and the sweep output is
+// byte-identical regardless of --threads (counter-based RNG addressing,
+// see parallel/parallel.hpp).
 //
 //   scenario_sweep                                  # 4 presets x 2 backends
 //   scenario_sweep --scenarios=paper-baseline,abm-truth --simulators=abm
@@ -34,11 +34,8 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const epismc::io::Args& args) {
   using namespace epismc;
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   api::apply_threads_flag(args);
@@ -136,4 +133,10 @@ int main(int argc, char** argv) {
   std::cout << "\n" << runs.size() - failed << "/" << runs.size()
             << " cells completed.\n";
   return failed == 0 && supervision_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

@@ -27,10 +27,11 @@
 #include "api/api.hpp"
 #include "io/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
 
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   api::CalibrationSession session;
@@ -118,4 +119,10 @@ int main(int argc, char** argv) {
   }
   recon.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

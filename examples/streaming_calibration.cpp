@@ -38,10 +38,11 @@
 #include "stream/stream_state.hpp"
 #include "stream/streaming_calibrator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const epismc::io::Args& args) {
   using namespace epismc;
 
-  const io::Args args(argc, argv);
   if (api::handle_list_flag(args, std::cout)) return 0;
 
   api::CalibrationSession session;
@@ -219,4 +220,10 @@ int main(int argc, char** argv) {
               << " windows assimilated.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return epismc::api::cli_main(argc, argv, run);
 }

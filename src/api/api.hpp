@@ -7,7 +7,7 @@
 //   registries     api::simulators() / likelihoods() / bias_models() /
 //                  jitter_policies() / scenarios()
 //   one run        api::CalibrationSession (fluent builder)
-//   many runs      api::ScenarioSweep (presets x backends, OpenMP-parallel)
+//   many runs      api::ScenarioSweep (presets x backends, pool-parallel)
 //   supervised     session.supervised() / sweep.run_supervised() (forked
 //                  workers, heartbeats, retry/backoff; src/supervise/)
 //   CLI            api::configure_session_from_args (standard flags)

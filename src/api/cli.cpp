@@ -1,6 +1,8 @@
 #include "api/cli.hpp"
 
-#include <ostream>
+#include <filesystem>
+#include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +11,29 @@
 #include "simd/simd.hpp"
 
 namespace epismc::api {
+
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const io::Args&)>& body) {
+  const std::string program =
+      std::filesystem::path(argc > 0 ? argv[0] : "epismc").filename().string();
+  std::optional<io::Args> args;
+  try {
+    args.emplace(argc, argv);
+    return body(*args);
+  } catch (const std::invalid_argument& e) {
+    if (*e.what() != '\0') std::cerr << program << ": " << e.what() << "\n";
+    std::cerr << "usage: " << program << " [--flag[=value] ...]\n";
+    if (args && !args->queried().empty()) {
+      std::cerr << "flags:";
+      for (const auto& key : args->queried()) std::cerr << " --" << key;
+      std::cerr << "\n";
+    }
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << program << ": error: " << e.what() << "\n";
+    return 1;
+  }
+}
 
 void apply_threads_flag(const io::Args& args) {
   const std::string threads = args.get_string("threads", "");

@@ -18,9 +18,8 @@
 //   --on-degenerate=P   non-finite log-likelihood policy: quarantine
 //                       (demote to -inf, keep going -- default) | throw
 //   --abm-engine=NAME   agent-based day-step engine: fast | reference
-//   --threads=N         thread budget: pool lanes + OpenMP team
-//                       (parallel::set_threads)
-//   --pool=BACKEND      parallel_for backend: serial | omp | pool
+//   --threads=N         thread budget: pool lanes (parallel::set_threads)
+//   --pool=BACKEND      parallel_for backend: serial | pool
 //                       (overrides the EPISMC_POOL environment variable;
 //                       results are bit-identical across backends)
 //   --simd=LEVEL        SIMD dispatch level: scalar | sse41 | avx2 |
@@ -39,7 +38,11 @@
 //
 // Unknown registry names fail with the registry's listing; `--list`
 // prints every registry's names and returns true (caller should exit 0).
+//
+// Every binary's main is one cli_main call, so bad input fails the same
+// way everywhere: a usage message and exit code 2, never std::terminate.
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -48,6 +51,15 @@
 #include "supervise/supervisor.hpp"
 
 namespace epismc::api {
+
+/// Parse argv and run `body` on the arguments; returns body's exit code.
+/// A std::invalid_argument is a command-line mistake -- a malformed or
+/// unknown flag, an unparsable value, --help (empty message), an unknown
+/// registry, --pool or --simd name: it prints the message and a usage
+/// line listing the flags the program queried, then returns 2. Any other
+/// std::exception prints "error: ..." and returns 1.
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const io::Args&)>& body);
 
 /// Query the standard flags (so Args::check_unused accepts them), apply
 /// --threads, and stage them onto `session`. The core selections --
@@ -82,8 +94,8 @@ void apply_threads_flag(const io::Args& args);
 void apply_simd_flag(const io::Args& args);
 
 /// Apply --pool=BACKEND via parallel::set_backend. Unknown names are
-/// fatal (std::invalid_argument); absent flag leaves the backend at its
-/// EPISMC_POOL/compile-default state.
+/// fatal (std::invalid_argument naming serial|pool); absent flag leaves
+/// the backend at its EPISMC_POOL/pool default state.
 void apply_pool_flag(const io::Args& args);
 
 /// Print every registry's names (simulators, scenarios, likelihoods, bias

@@ -21,7 +21,7 @@
 //
 // Thread-safety: registration must happen before concurrent use (startup);
 // lookups and create() are const and safe to call concurrently -- the
-// ScenarioSweep runner does exactly that from its OpenMP cell loop.
+// ScenarioSweep runner does exactly that from its parallel cell loop.
 
 #include <functional>
 #include <map>

@@ -120,14 +120,13 @@ class CalibrationSession {
   CalibrationSession& with_burnin_day(std::int32_t day);
   /// SIMD dispatch level for the vectorized kernels ("scalar" | "sse41" |
   /// "avx2" | "avx512" | "auto"). Applied process-wide immediately (the
-  /// dispatcher is global state, like OpenMP's thread count); levels above
+  /// dispatcher is global state, like the thread count); levels above
   /// what the binary/host supports clamp down rather than fail. The
   /// default is the scalar reference path -- see docs/API.md "SIMD kernels
   /// & ISA dispatch" for the determinism contract.
   CalibrationSession& with_simd_level(const std::string& level_name);
-  /// parallel_for backend ("serial" | "omp" | "pool"). Applied
-  /// process-wide immediately, same global-state caveat as
-  /// with_simd_level; "omp" in a build without OpenMP clamps to serial.
+  /// parallel_for backend ("serial" | "pool"). Applied process-wide
+  /// immediately, same global-state caveat as with_simd_level.
   /// Results are bit-identical across backends -- this selects the engine,
   /// not the answer. See docs/API.md "Task pool & thread scaling".
   CalibrationSession& with_pool_backend(const std::string& backend_name);

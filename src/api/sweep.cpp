@@ -225,23 +225,6 @@ std::vector<SweepRun> ScenarioSweep::run_all() const {
   // (sweep seed, scenario *name*), never from list position or thread id,
   // so reordering scenarios or simulators reproduces every cell exactly
   // and the same backend sees the same randomness in every scenario.
-  //
-  // Parallelism placement. Under the work-stealing pool both levels go
-  // through hierarchical submit: the outer cell loop runs on the pool and
-  // each cell's inner particle loops nest onto the same lanes, so cells
-  // and particles share one set of workers without oversubscription
-  // (tests/api_sweep_test.cpp asserts peak_active never exceeds the
-  // configured lane count). Under OpenMP nesting is off, so keep the old
-  // placement heuristic: with fewer cells than threads an outer region
-  // would leave cores idle *and* serialize each calibrator's inner
-  // particle loop -- run cells sequentially and let the particle sweep
-  // own the machine; with many cells, parallelize across them. Either
-  // placement yields identical results: both loops are
-  // index-deterministic.
-  const bool parallel_over_cells =
-      parallel::backend() == parallel::PoolBackend::kPool
-          ? runs.size() > 1
-          : runs.size() >= static_cast<std::size_t>(parallel::max_threads());
   const auto scenario_seed = [this](std::size_t si) {
     std::uint64_t h = seed_;
     for (const char c : scenario_names_[si]) {
@@ -283,11 +266,15 @@ std::vector<SweepRun> ScenarioSweep::run_all() const {
         out.wall_seconds = timer.seconds();
   };
 
-  if (parallel_over_cells) {
-    parallel::parallel_for(runs.size(), run_cell, /*chunk=*/1);
-  } else {
-    for (std::size_t cell = 0; cell < runs.size(); ++cell) run_cell(cell);
-  }
+  // Both levels go through the pool's hierarchical submit: the outer cell
+  // loop runs on the pool and each cell's inner particle loops nest onto
+  // the same lanes, so cells and particles share one set of workers
+  // without oversubscription (tests/api_sweep_test.cpp asserts
+  // peak_active never exceeds the configured lane count). A single cell
+  // takes parallel_for's serial fast path and leaves the lanes to its
+  // particle loops. Results do not depend on placement: both loops are
+  // index-deterministic.
+  parallel::parallel_for(runs.size(), run_cell, /*chunk=*/1);
 
   return runs;
 }

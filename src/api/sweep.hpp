@@ -5,7 +5,7 @@
 //
 // The ROADMAP asks for "as many scenarios as you can imagine"; a sweep is
 // the cartesian product {scenario preset} x {simulator backend}, each cell
-// a full sequential calibration, run OpenMP-parallel over cells:
+// a full sequential calibration, run in parallel over cells on the pool:
 //
 //   auto runs = api::ScenarioSweep()
 //                   .add_scenarios({"paper-baseline", "sharp-jump",

@@ -4,7 +4,7 @@
 //
 //   1. Sample (theta_i, s_i, rho_i) from the window proposal.
 //   2. Propagate all tuples through one fused Simulator::run_batch call
-//      over a structure-of-arrays EnsembleBuffer (OpenMP-parallel inside
+//      over a structure-of-arrays EnsembleBuffer (pool-parallel inside
 //      the backend; every trajectory owns a counter-based RNG stream
 //      addressed by its identity, so results are independent of thread
 //      count). The same sweep applies the reporting bias, scores the

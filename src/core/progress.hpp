@@ -26,7 +26,7 @@ namespace epismc::core {
 struct ProgressReporter {
   /// Called at each progress boundary. Must be cheap, non-throwing in
   /// spirit (a throw would abort the window it interrupts), and -- when
-  /// the driver runs its cells OpenMP-parallel -- thread-safe.
+  /// the driver runs its cells in parallel -- thread-safe.
   std::function<void()> on_beat;
 
   void beat() const {

@@ -14,7 +14,7 @@
 // equally well to other stochastic simulation models".
 //
 // The hot path drives simulators through the pool-based run_batch: one call
-// propagates a contiguous range of an EnsembleBuffer (OpenMP-parallel
+// propagates a contiguous range of an EnsembleBuffer (pool-parallel
 // inside) from typed StatePool parents, writing the window series straight
 // into the buffer's day-major rows. A BatchSink fuses the rest of the
 // window into the same sweep: end states are captured into a typed pool
@@ -95,7 +95,7 @@ class Simulator {
   /// death series into the buffer rows, then apply the sink (end-state
   /// capture into a pool slot, fused per-sim hook).
   ///
-  /// Parallel inside (OpenMP over the range); results are independent of
+  /// Parallel inside (pool over the range); results are independent of
   /// the thread count because every trajectory's randomness is addressed
   /// by its (seed, stream) columns. The default implementation converts
   /// the parents across the pool's checkpoint io boundary (once per

@@ -4,18 +4,15 @@
 //
 // The SMC workload is embarrassingly parallel over particles; these helpers
 // keep the threading surface small and auditable: an indexed parallel_for
-// over one of three interchangeable backends, thread introspection, and a
+// over one of two interchangeable backends, thread introspection, and a
 // scoped wall-clock timer for the scaling benches.
 //
 // Backends (PoolBackend):
 //   pool    work-stealing TaskPool (task_pool.hpp) -- the default; lazy
 //           worker spawn, hierarchical nesting, fork-safe via prepare_fork
-//   omp     OpenMP parallel-for with dynamic scheduling (only when the
-//           build has OpenMP; otherwise requests clamp to serial)
-//   serial  plain loop on the calling thread
-// Selection order: set_backend() > EPISMC_POOL env var > the compile-time
-// default (CMake option EPISMC_DEFAULT_POOL). The backend only decides
-// WHERE iterations execute, never what they compute.
+//   serial  plain loop on the calling thread -- the reference
+// Selection order: set_backend() > EPISMC_POOL env var > pool. The backend
+// only decides WHERE iterations execute, never what they compute.
 //
 // Determinism contract: loop bodies receive only the index; any randomness
 // must come from a stream derived from that index (see random/seeding.hpp),
@@ -25,14 +22,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <string>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "parallel/task_pool.hpp"
 
@@ -40,21 +32,17 @@ namespace epismc::parallel {
 
 /// Which engine parallel_for routes through. Numeric values are stable
 /// (they appear in bench JSON stamps via backend_name()).
-enum class PoolBackend { kSerial = 0, kOmp = 1, kPool = 2 };
+enum class PoolBackend { kSerial = 0, kPool = 2 };
 
 /// Current backend. First call resolves EPISMC_POOL (unknown values are
-/// ignored in favor of the compile-time default; use
-/// refresh_backend_from_env() to get strict parsing).
+/// ignored in favor of pool).
 [[nodiscard]] PoolBackend backend() noexcept;
 
-/// Select a backend; returns what actually took effect (requesting omp in
-/// a build without OpenMP clamps to serial, mirroring the old behavior of
-/// the #else branch).
-PoolBackend set_backend(PoolBackend b) noexcept;
+void set_backend(PoolBackend b) noexcept;
 
-/// Name form of set_backend: "serial" | "omp" | "pool".
+/// Name form of set_backend: "serial" | "pool".
 /// Throws std::invalid_argument on anything else.
-PoolBackend set_backend(const std::string& name);
+void set_backend(const std::string& name);
 
 /// Parse a backend name; throws std::invalid_argument on unknown names.
 [[nodiscard]] PoolBackend parse_backend(const std::string& name);
@@ -62,13 +50,9 @@ PoolBackend set_backend(const std::string& name);
 /// Stable lower-case name for stamps and logs.
 [[nodiscard]] const char* backend_name(PoolBackend b) noexcept;
 
-/// Re-read EPISMC_POOL and apply it; throws std::invalid_argument when the
-/// variable is set to an unknown value. No-op when unset.
-void refresh_backend_from_env();
-
 /// Tear down pool workers so the process can fork safely; parent and
 /// child respawn lazily on their next parallel_for. Harmless when no
-/// workers are alive (serial/omp backends, or pool never used).
+/// workers are alive (serial backend, or pool never used).
 void prepare_fork();
 
 /// Observability snapshot of the work-stealing pool (zeros until the pool
@@ -79,51 +63,28 @@ void prepare_fork();
 /// backend. This is also the exclusive upper bound of thread_id(), which
 /// is what sizes the per-thread scratch arrays in core/batch_runner.hpp.
 [[nodiscard]] inline int max_threads() noexcept {
-  switch (backend()) {
-    case PoolBackend::kSerial:
-      return 1;
-    case PoolBackend::kPool:
-      return TaskPool::instance().lanes();
-    case PoolBackend::kOmp:
-#ifdef _OPENMP
-      return omp_get_max_threads();
-#else
-      return 1;
-#endif
-  }
-  return 1;
+  return backend() == PoolBackend::kSerial ? 1 : TaskPool::instance().lanes();
 }
 
 /// Id of the calling thread inside a parallel_for body: the pool lane id
-/// when running on the pool, the OpenMP thread number under omp, else 0.
-/// Always in [0, max_threads()).
+/// when running on the pool, else 0. Always in [0, max_threads()).
 [[nodiscard]] inline int thread_id() noexcept {
   const int lane = TaskPool::current_lane();
-  if (lane >= 0) return lane;
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
+  return lane >= 0 ? lane : 0;
 }
 
-/// Set the thread budget for every backend at once: the OpenMP team size
-/// and the pool lane target (pool workers are torn down and respawn
-/// lazily at the new width). Values < 1 are ignored.
+/// Set the thread budget: the pool lane target (pool workers are torn
+/// down and respawn lazily at the new width). Values < 1 are ignored.
 inline void set_threads(int n) noexcept {
   if (n <= 0) return;
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#endif
   TaskPool::instance().set_lanes(n);
 }
 
-/// Dynamic-schedule chunk size for a loop of `count` iterations: a quarter
-/// of an even split per thread, clamped to at least 1. Small loops stay
-/// fine-grained enough that every thread gets work; large loops amortize
-/// the scheduling overhead instead of paying it every 16 iterations
-/// (the previous fixed default, which penalized ensemble-sized counts).
-/// The same heuristic feeds OpenMP's dynamic chunk and the pool's grain.
+/// Pool grain for a loop of `count` iterations: a quarter of an even split
+/// per lane, clamped to at least 1. Small loops stay fine-grained enough
+/// that every lane gets work; large loops amortize the scheduling overhead
+/// instead of paying it every 16 iterations (the previous fixed default,
+/// which penalized ensemble-sized counts).
 [[nodiscard]] inline int default_chunk(std::size_t count) noexcept {
   const std::size_t per = count / (4 * static_cast<std::size_t>(max_threads()));
   return per < 1 ? 1 : static_cast<int>(per);
@@ -133,8 +94,8 @@ namespace detail {
 
 /// Pool trampoline: per-index try/catch with first-exception capture, so
 /// the pool itself never sees a throwing task (its RangeFn contract).
-/// Matches the OpenMP path's contract: remaining iterations still run,
-/// one of the captured exceptions is rethrown at the join point.
+/// Remaining iterations still run; one of the captured exceptions is
+/// rethrown at the join point.
 template <typename Body>
 void pool_for(std::size_t count, int chunk, Body& body) {
   struct Ctx {
@@ -161,8 +122,7 @@ void pool_for(std::size_t count, int chunk, Body& body) {
 
 }  // namespace detail
 
-/// Parallel loop over [0, count) with dynamic chunking on the selected
-/// backend. `body` must be thread-safe and index-deterministic (see header
+/// Parallel loop over [0, count) on the selected backend. `body` must be thread-safe and index-deterministic (see header
 /// comment). `chunk` <= 0 selects the default_chunk(count) heuristic.
 ///
 /// Exception contract (identical across backends): body exceptions are
@@ -173,15 +133,14 @@ void pool_for(std::size_t count, int chunk, Body& body) {
 ///
 /// Nesting: under the pool backend a parallel_for issued from inside a
 /// parallel_for body schedules hierarchically on the same lanes (no
-/// oversubscription). Under omp the inner loop runs serially on its
-/// calling thread (nested OpenMP stays disabled).
+/// oversubscription).
 template <typename Body>
 void parallel_for(std::size_t count, Body&& body, int chunk = 0) {
   const PoolBackend be = backend();
   // Serial fast path when only one thread would run: skips the parallel
   // machinery entirely, which also keeps single-threaded work safe inside
   // a freshly forked child before the pool notices the pid change. Same
-  // exception contract as the threaded paths: capture per index, finish
+  // exception contract as the pool path: capture per index, finish
   // the loop, rethrow the first.
   if (count <= 1 || be == PoolBackend::kSerial || max_threads() <= 1) {
     std::exception_ptr error = nullptr;
@@ -195,27 +154,6 @@ void parallel_for(std::size_t count, Body&& body, int chunk = 0) {
     if (error) std::rethrow_exception(error);
     return;
   }
-#ifdef _OPENMP
-  if (be == PoolBackend::kOmp) {
-    // An exception escaping an OpenMP structured block calls
-    // std::terminate, so capture inside the region, rethrow after.
-    if (chunk <= 0) chunk = default_chunk(count);
-    std::exception_ptr error = nullptr;
-#pragma omp parallel for schedule(dynamic, chunk)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-      try {
-        body(static_cast<std::size_t>(i));
-      } catch (...) {
-#pragma omp critical(epismc_parallel_for_error)
-        {
-          if (!error) error = std::current_exception();
-        }
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-#endif
   detail::pool_for(count, chunk, body);
 }
 
@@ -224,9 +162,6 @@ void parallel_for(std::size_t count, Body&& body, int chunk = 0) {
 class ScopedBackend {
  public:
   explicit ScopedBackend(PoolBackend b) : prev_(backend()) { set_backend(b); }
-  explicit ScopedBackend(const std::string& name) : prev_(backend()) {
-    set_backend(name);
-  }
   ~ScopedBackend() { set_backend(prev_); }
   ScopedBackend(const ScopedBackend&) = delete;
   ScopedBackend& operator=(const ScopedBackend&) = delete;

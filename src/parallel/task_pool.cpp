@@ -441,40 +441,18 @@ void TaskPool::reset_peak() noexcept {
 
 namespace {
 
-/// Compile-time default backend, overridable per build via the CMake cache
-/// string EPISMC_DEFAULT_POOL (stamped as a compile definition on this TU).
-#ifndef EPISMC_DEFAULT_POOL_BACKEND
-#define EPISMC_DEFAULT_POOL_BACKEND "pool"
-#endif
-
-/// Requesting omp in a build without OpenMP degrades to serial -- the same
-/// behavior the old #else branch of parallel_for had.
-PoolBackend clamp_backend(PoolBackend b) noexcept {
-#ifndef _OPENMP
-  if (b == PoolBackend::kOmp) return PoolBackend::kSerial;
-#endif
-  return b;
-}
-
 std::atomic<int> g_backend{-1};  // -1 = not resolved yet
 
 PoolBackend resolve_initial_backend() noexcept {
-  PoolBackend b = PoolBackend::kPool;
-  try {
-    b = parse_backend(EPISMC_DEFAULT_POOL_BACKEND);
-  } catch (...) {
-    // Malformed cache value baked into the build; keep the pool default.
-  }
   if (const char* env = std::getenv("EPISMC_POOL")) {
     try {
-      b = parse_backend(env);
+      return parse_backend(env);
     } catch (...) {
       // Lazy resolution must not throw from noexcept callers; unknown env
-      // values keep the compile default. refresh_backend_from_env() is the
-      // strict entry point.
+      // values keep the pool default.
     }
   }
-  return clamp_backend(b);
+  return PoolBackend::kPool;
 }
 
 }  // namespace
@@ -493,40 +471,27 @@ PoolBackend backend() noexcept {
   return static_cast<PoolBackend>(v);
 }
 
-PoolBackend set_backend(PoolBackend b) noexcept {
-  const PoolBackend effective = clamp_backend(b);
-  g_backend.store(static_cast<int>(effective), std::memory_order_release);
-  return effective;
+void set_backend(PoolBackend b) noexcept {
+  g_backend.store(static_cast<int>(b), std::memory_order_release);
 }
 
-PoolBackend set_backend(const std::string& name) {
-  return set_backend(parse_backend(name));
-}
+void set_backend(const std::string& name) { set_backend(parse_backend(name)); }
 
 PoolBackend parse_backend(const std::string& name) {
   if (name == "serial") return PoolBackend::kSerial;
-  if (name == "omp") return PoolBackend::kOmp;
   if (name == "pool") return PoolBackend::kPool;
   throw std::invalid_argument("unknown pool backend '" + name +
-                              "' (expected serial|omp|pool)");
+                              "' (expected serial|pool)");
 }
 
 const char* backend_name(PoolBackend b) noexcept {
   switch (b) {
     case PoolBackend::kSerial:
       return "serial";
-    case PoolBackend::kOmp:
-      return "omp";
     case PoolBackend::kPool:
       return "pool";
   }
   return "serial";
-}
-
-void refresh_backend_from_env() {
-  if (const char* env = std::getenv("EPISMC_POOL")) {
-    set_backend(parse_backend(env));
-  }
 }
 
 void prepare_fork() { TaskPool::instance().prepare_fork(); }

@@ -1,7 +1,7 @@
 #pragma once
 
 // Persistent work-stealing task pool: the thread backend behind
-// parallel::parallel_for when EPISMC_POOL=pool (the default build).
+// parallel::parallel_for (the default; EPISMC_POOL=serial bypasses it).
 //
 // Layout. The pool is a set of `lanes` execution lanes. Lane 0 is the
 // submitting (external) thread; lanes 1..lanes-1 are worker threads,
@@ -29,7 +29,7 @@
 //
 // Determinism. The pool decides only *where* a chunk executes, never
 // what it computes: bodies receive the index alone, so results are
-// bit-identical across 1/4/8/16 lanes and across the serial/omp/pool
+// bit-identical across 1/4/8/16 lanes and across the serial/pool
 // backends (tests/parallel_test.cpp locks a full calibration window).
 //
 // Fork safety. prepare_fork() joins and discards every worker; parent
@@ -37,8 +37,7 @@
 // prepare_fork is still survivable: the pool notices the pid change and
 // abandons the inherited (nonexistent-in-the-child) thread handles
 // rather than joining them. src/supervise/ calls prepare_fork() before
-// every child spawn, which is what lifted the old "parents must stay
-// OpenMP-virgin" restriction for the pool backend.
+// every child spawn, so a parent may run parallel work between spawns.
 //
 // Memory model / TSan. top and bottom are seq_cst (the owner's
 // pop-vs-steal arbitration needs a StoreLoad order that relaxed+fence
@@ -85,14 +84,12 @@ class TaskPool {
   /// exception itself.
   using RangeFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
-  /// The process-wide pool (workers are a per-process resource, like the
-  /// OpenMP runtime's team).
+  /// The process-wide pool (workers are a per-process resource).
   [[nodiscard]] static TaskPool& instance();
 
   /// Target lane count (>= 1). Takes effect lazily: live workers are
   /// torn down when the count changes and respawn on the next run().
-  /// Not safe concurrently with run() -- same contract as
-  /// omp_set_num_threads.
+  /// Not safe concurrently with run().
   void set_lanes(int n);
   [[nodiscard]] int lanes() const noexcept {
     return lanes_target_.load(std::memory_order_relaxed);

@@ -273,9 +273,6 @@ SupervisionReport Supervisor::run_all() {
       ::close(fds[0]);
       std::signal(SIGPIPE, SIG_IGN);
       if (p.attempt > 0 && options_.disarm_faults_on_retry) fault::disarm();
-      if (options_.child_threads > 0) {
-        parallel::set_threads(options_.child_threads);
-      }
       TaskContext ctx(fds[1], p.attempt, r.sidecar);
       int code = 0;
       try {

@@ -22,11 +22,7 @@
 // Threads vs fork: the supervisor calls parallel::prepare_fork() before
 // every spawn, which joins and discards the work-stealing pool's workers;
 // parent and child then respawn their own lazily on the next
-// parallel_for. That lifted the old "parents must stay out of parallel
-// regions" restriction for the pool backend (the default). The OpenMP
-// backend keeps its sharp edge: a child forked from a parent that
-// already entered an OpenMP region must not re-enter that runtime --
-// parallel_for's serial fast path handles child_threads=1 there.
+// parallel_for, so the parent may run parallel work between spawns.
 
 #include <cstdint>
 #include <filesystem>
@@ -112,11 +108,6 @@ struct SupervisorOptions {
   /// > 0), modelling transient faults that do not recur. Exhausted-
   /// budget tests set this false to make every attempt fail.
   bool disarm_faults_on_retry = true;
-  /// Thread count forced inside each child (pool lanes + OpenMP team);
-  /// 0 inherits. Use 1 under the omp backend when the parent may already
-  /// have entered an OpenMP region (see the fork note above); the pool
-  /// backend needs no such cap.
-  int child_threads = 0;
   /// Where run_all saves the sealed SupervisionReport; empty skips.
   std::filesystem::path report_path;
   /// Directory for child->parent sidecar files; empty derives one from

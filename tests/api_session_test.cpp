@@ -1,14 +1,22 @@
 // CalibrationSession: the fluent builder wires scenario, simulator and
 // config exactly like hand construction (bit-identical posteriors on a
 // small 2-window scenario), materialization is lazy and one-shot, and the
-// convenience accessors (truth, summaries, forecast) behave.
+// convenience accessors (truth, summaries, forecast) behave; and the
+// shared command-line entry point maps mistakes to usage + exit 2.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
 #include "core/sequential_calibrator.hpp"
+#include "parallel/parallel.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -204,6 +212,55 @@ TEST(Session, ForecastBranchesFromPosterior) {
     return acc;
   };
   EXPECT_LT(total(lo), total(hi));
+}
+
+int run_cli(std::vector<const char*> argv,
+            const std::function<int(const io::Args&)>& body) {
+  return api::cli_main(static_cast<int>(argv.size()), argv.data(), body);
+}
+
+TEST(Cli, CommandLineMistakesExitTwoWithUsage) {
+  const auto configure = [](const io::Args& args) {
+    api::CalibrationSession session;
+    api::configure_session_from_args(session, args);
+    args.check_unused();
+    return 0;
+  };
+  const parallel::PoolBackend prev = parallel::backend();
+  const simd::SimdLevel prev_level = simd::active_level();
+  for (const char* flag : {"--bogus", "--pool=omp", "--simd=avx9000",
+                           "--scenario=atlantis", "--n-params=ten", "--help",
+                           "positional"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli({"prog", flag}, configure), 2) << flag;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("usage: prog"), std::string::npos) << flag << err;
+  }
+  // A rejected --pool leaves the backend as it was.
+  EXPECT_EQ(parallel::backend(), prev);
+  EXPECT_EQ(simd::active_level(), prev_level);
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"prog", "--pool=omp"}, configure), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("serial|pool"),
+            std::string::npos);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"prog", "--help"}, configure), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--n-params"),
+            std::string::npos);
+}
+
+TEST(Cli, BodyExitCodesPassThroughAndErrorsExitOne) {
+  EXPECT_EQ(run_cli({"prog"}, [](const io::Args&) { return 0; }), 0);
+  EXPECT_EQ(run_cli({"prog"}, [](const io::Args&) { return 3; }), 3);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli({"prog"},
+                    [](const io::Args&) -> int {
+                      throw std::runtime_error("boom");
+                    }),
+            1);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("prog: error: boom"),
+            std::string::npos);
 }
 
 TEST(Session, PosteriorSummariesMatchWindows) {

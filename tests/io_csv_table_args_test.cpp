@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
@@ -122,6 +126,41 @@ TEST(Args, FalseStringIsFalse) {
   const char* argv[] = {"prog", "--flag=false"};
   const Args args(2, argv);
   EXPECT_FALSE(args.get_flag("flag"));
+}
+
+TEST(Args, NumbersMustParseWhole) {
+  const char* argv[] = {"prog", "--n=12abc", "--x=", "--big=99999999999999999999",
+                        "--ok=7", "--r=0.25"};
+  const Args args(6, argv);
+  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("big", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("ok", 0), 7);
+  EXPECT_DOUBLE_EQ(args.get_double("r", 0.0), 0.25);
+}
+
+TEST(Args, NumberListsSkipEmptyItemsAndRejectJunk) {
+  const char* argv[] = {"prog", "--pops=6000,,60000,", "--bad=1,x,3"};
+  const Args args(3, argv);
+  EXPECT_EQ(args.get_int_list("pops", ""),
+            (std::vector<std::int64_t>{6000, 60000}));
+  EXPECT_EQ(args.get_double_list("absent", "0.3,0.5"),
+            (std::vector<double>{0.3, 0.5}));
+  EXPECT_THROW((void)args.get_double_list("bad", ""), std::invalid_argument);
+}
+
+TEST(Args, HelpThrowsAnEmptyMessageAfterTheLastQuery) {
+  const char* argv[] = {"prog", "--help"};
+  const Args args(2, argv);
+  (void)args.get_int("n-params", 1);
+  (void)args.get_flag("check");
+  try {
+    args.check_unused();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "");
+  }
+  EXPECT_EQ(args.queried(), (std::set<std::string>{"check", "n-params"}));
 }
 
 }  // namespace

@@ -105,7 +105,6 @@ TEST(ParallelFor, ResultsAreBackendInvariant) {
   const auto serial = run_on(parallel::PoolBackend::kSerial, 1);
   EXPECT_EQ(serial, run_on(parallel::PoolBackend::kPool, 4));
   EXPECT_EQ(serial, run_on(parallel::PoolBackend::kPool, 8));
-  EXPECT_EQ(serial, run_on(parallel::PoolBackend::kOmp, 4));
 }
 
 TEST(ParallelFor, ChunkSizeDoesNotChangeResults) {
@@ -124,8 +123,7 @@ TEST(ParallelFor, ExceptionAggregationAcrossBackends) {
   // the remaining iterations still run, one captured exception is
   // rethrown at the join point.
   for (const parallel::PoolBackend be :
-       {parallel::PoolBackend::kSerial, parallel::PoolBackend::kOmp,
-        parallel::PoolBackend::kPool}) {
+       {parallel::PoolBackend::kSerial, parallel::PoolBackend::kPool}) {
     ScopedThreads threads(4);
     parallel::ScopedBackend backend(be);
     constexpr std::size_t kN = 512;
@@ -151,29 +149,37 @@ TEST(ParallelFor, ExceptionAggregationAcrossBackends) {
   }
 }
 
-TEST(Backend, ParseClampAndNames) {
+TEST(Backend, ParseAndNames) {
   EXPECT_EQ(parallel::parse_backend("serial"), parallel::PoolBackend::kSerial);
-  EXPECT_EQ(parallel::parse_backend("omp"), parallel::PoolBackend::kOmp);
   EXPECT_EQ(parallel::parse_backend("pool"), parallel::PoolBackend::kPool);
   EXPECT_THROW(parallel::parse_backend("fibers"), std::invalid_argument);
   EXPECT_THROW(parallel::parse_backend(""), std::invalid_argument);
 
   EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kSerial),
                "serial");
-  EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kOmp), "omp");
   EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kPool), "pool");
+}
 
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Backend, OmpIsRejectedNamingTheValidBackends) {
   const parallel::PoolBackend prev = parallel::backend();
-  const parallel::PoolBackend eff =
-      parallel::set_backend(parallel::PoolBackend::kOmp);
-#ifdef _OPENMP
-  EXPECT_EQ(eff, parallel::PoolBackend::kOmp);
-#else
-  // Builds without OpenMP clamp omp requests to serial instead of failing.
-  EXPECT_EQ(eff, parallel::PoolBackend::kSerial);
-#endif
-  EXPECT_EQ(parallel::backend(), eff);
-  parallel::set_backend(prev);
+  const std::string parse_error = invalid_argument_message(
+      [] { (void)parallel::parse_backend("omp"); });
+  EXPECT_NE(parse_error.find("serial|pool"), std::string::npos) << parse_error;
+  const std::string set_error =
+      invalid_argument_message([] { parallel::set_backend("omp"); });
+  EXPECT_NE(set_error.find("serial|pool"), std::string::npos) << set_error;
+  EXPECT_EQ(parallel::backend(), prev);
 }
 
 TEST(Backend, SerialBackendReportsOneThread) {
@@ -369,8 +375,7 @@ TEST(Calibration, FullWindowBitIdenticalAcrossBackendsAndWorkerCounts) {
   };
   for (const Case c : {Case{parallel::PoolBackend::kPool, 1},
                        Case{parallel::PoolBackend::kPool, 4},
-                       Case{parallel::PoolBackend::kPool, 8},
-                       Case{parallel::PoolBackend::kOmp, 4}}) {
+                       Case{parallel::PoolBackend::kPool, 8}}) {
     api::CalibrationSession session = run_on(c.backend, c.threads);
     const core::WindowResult& got = session.results().back();
     const std::string label = std::string(parallel::backend_name(c.backend)) +

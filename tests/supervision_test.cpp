@@ -45,7 +45,6 @@ fs::path scratch(const std::string& name) {
 
 supervise::SupervisorOptions fast_options() {
   supervise::SupervisorOptions sup;
-  sup.child_threads = 1;
   sup.backoff_base_seconds = 0.01;
   sup.backoff_max_seconds = 0.05;
   return sup;
