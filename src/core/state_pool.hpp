@@ -61,7 +61,10 @@ class StatePool {
   virtual void compact(std::span<const std::uint32_t> keep) = 0;
 
   // --- io boundary: the only place byte serialization still exists. -------
-  /// Serialize `slot` into the portable checkpoint format.
+  /// Serialize `slot` into the portable checkpoint format. Must be safe to
+  /// call concurrently on distinct slots: StreamingCalibrator::snapshot
+  /// encodes a whole pool inside one parallel_for. Both pools qualify --
+  /// they only read the slot.
   [[nodiscard]] virtual epi::Checkpoint to_checkpoint(std::size_t slot) const = 0;
   /// Parse a portable checkpoint into `slot` (slot must exist).
   virtual void set_from_checkpoint(std::size_t slot,

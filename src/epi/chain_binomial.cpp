@@ -328,11 +328,13 @@ ChainBinomialModel ChainBinomialModel::restore(const Checkpoint& ckpt,
         io::ArchiveErrorKind::kVersion,
         "ChainBinomialModel::restore: unsupported checkpoint version");
   }
+  constexpr const char* kWho = "ChainBinomialModel::restore";
   ChainBinomialModel m;
-  m.params_ = DiseaseParameters::deserialize(in);
+  m.params_ = detail::read_archived_parameters(in, kWho);
   m.transmission_ = PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<Census>();
+  detail::check_archived_census(m.counts_, m.params_.population, kWho);
   const auto seed = in.read<std::uint64_t>();
   const auto stream = in.read<std::uint64_t>();
   const auto position = in.read<std::uint64_t>();

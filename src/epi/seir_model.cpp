@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace epismc::epi {
 
@@ -345,6 +346,49 @@ std::size_t SeirModel::pending_events() const noexcept {
 // Checkpointing.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+DiseaseParameters read_archived_parameters(io::BinaryReader& in,
+                                           const char* who) {
+  DiseaseParameters params = DiseaseParameters::deserialize(in);
+  try {
+    params.validate();
+  } catch (const std::invalid_argument& e) {
+    throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                           std::string(who) + ": archived " + e.what());
+  }
+  return params;
+}
+
+void check_archived_census(const Census& counts, std::int64_t population,
+                           const char* who) {
+  // Each entry is checked against what is left of the population before
+  // it is added, so the running sum can never overflow.
+  std::int64_t total = 0;
+  for (const std::int64_t c : counts) {
+    if (c < 0) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             std::string(who) + ": negative census entry " +
+                                 std::to_string(c));
+    }
+    if (c > population - total) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             std::string(who) +
+                                 ": census exceeds the archived population " +
+                                 std::to_string(population));
+    }
+    total += c;
+  }
+  if (total != population) {
+    throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                           std::string(who) + ": census sums to " +
+                               std::to_string(total) + ", not the archived "
+                               "population " + std::to_string(population));
+  }
+}
+
+}  // namespace detail
+
 Checkpoint SeirModel::make_checkpoint() const {
   io::BinaryWriter out(kCheckpointVersion);
 
@@ -388,11 +432,13 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
                            "SeirModel::restore: unsupported checkpoint version");
   }
 
+  constexpr const char* kWho = "SeirModel::restore";
   SeirModel m;
-  m.params_ = DiseaseParameters::deserialize(in);
+  m.params_ = detail::read_archived_parameters(in, kWho);
   m.transmission_ = PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<Census>();
+  detail::check_archived_census(m.counts_, m.params_.population, kWho);
 
   m.init_event_ring();
   const auto n_events = in.read<std::uint64_t>();
@@ -411,7 +457,17 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
       throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
                              "SeirModel::restore: unknown transition edge");
     }
-    m.ring_[m.ring_slot(day)][static_cast<std::size_t>(edge)] += count;
+    // A queued count moves people who exist, so it lies in [0, population]
+    // even after merging; the bound also keeps the += from overflowing.
+    std::int64_t& queued =
+        m.ring_[m.ring_slot(day)][static_cast<std::size_t>(edge)];
+    if (count < 0 || count > m.params_.population - queued) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             "SeirModel::restore: event count " +
+                                 std::to_string(count) +
+                                 " outside [0, population]");
+    }
+    queued += count;
   }
 
   const auto seed = in.read<std::uint64_t>();

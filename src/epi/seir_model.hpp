@@ -58,6 +58,21 @@ struct Checkpoint {
   [[nodiscard]] static Checkpoint load(const std::filesystem::path& path);
 };
 
+namespace detail {
+
+/// Archived disease parameters for a model restore. A field that fails
+/// DiseaseParameters::validate() is a property of the bytes, not of the
+/// caller, so it throws io::ArchiveError(kCorrupt) naming `who`.
+[[nodiscard]] DiseaseParameters read_archived_parameters(io::BinaryReader& in,
+                                                         const char* who);
+
+/// Reject an archived census with a negative entry or one that does not
+/// sum to `population` with io::ArchiveError(kCorrupt) naming `who`.
+void check_archived_census(const Census& counts, std::int64_t population,
+                           const char* who);
+
+}  // namespace detail
+
 /// Immutable bundle of the nine discretized sojourn tables. Durations and
 /// the Erlang shape never change across checkpoint restarts (only branching
 /// fractions, infectiousness and transmission are restartable), so restored

@@ -1,6 +1,7 @@
 #include "io/binary_archive.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -35,21 +36,23 @@ namespace {
                                std::strerror(errno));
 }
 
-/// The sealed on-disk frame: payload followed by the checksummed footer.
-std::vector<std::byte> seal_frame(const std::vector<std::byte>& payload,
-                                  std::uint64_t generation) {
-  std::vector<std::byte> frame = payload;
-  const auto append = [&frame](const auto& value) {
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    frame.insert(frame.end(), p, p + sizeof(value));
-  };
-  append(static_cast<std::uint64_t>(payload.size()));
-  append(generation);
-  append(ArchiveFooter::kMagic);
-  // The crc covers payload + the three footer fields before it, so a
-  // flipped length/generation/magic is caught like any payload flip.
-  append(crc32c(frame));
-  return frame;
+/// The 24-byte footer for `payload`, CRC included. The CRC covers the
+/// payload and then the three footer fields before it, so a flipped
+/// length/generation/magic is caught like any payload flip; streaming the
+/// two pieces through crc32c_update seals the frame without copying the
+/// payload next to its footer.
+std::array<std::byte, ArchiveFooter::kBytes> seal_footer(
+    const std::vector<std::byte>& payload, std::uint64_t generation) {
+  std::array<std::byte, ArchiveFooter::kBytes> footer{};
+  const std::uint64_t payload_bytes = payload.size();
+  const std::uint32_t magic = ArchiveFooter::kMagic;
+  std::memcpy(footer.data(), &payload_bytes, sizeof payload_bytes);
+  std::memcpy(footer.data() + 8, &generation, sizeof generation);
+  std::memcpy(footer.data() + 16, &magic, sizeof magic);
+  std::uint32_t crc = crc32c_update(0, payload.data(), payload.size());
+  crc = crc32c_update(crc, footer.data(), ArchiveFooter::kBytes - sizeof crc);
+  std::memcpy(footer.data() + 20, &crc, sizeof crc);
+  return footer;
 }
 
 /// write(2) loop with EINTR handling; cleans nothing up itself.
@@ -80,10 +83,13 @@ void fsync_directory(const std::filesystem::path& dir) {
 /// The torn-write action: emulate a filesystem tearing the write by
 /// putting a prefix of the sealed frame at the *final* path (no
 /// temp/rename protocol) and dying, exactly what the pre-durability
-/// writer risked on power loss.
-[[noreturn]] void tear_and_die(const std::filesystem::path& path,
-                               const std::vector<std::byte>& frame,
-                               std::uint64_t at_byte) {
+/// writer risked on power loss. The only place the full frame is built.
+[[noreturn]] void tear_and_die(
+    const std::filesystem::path& path, const std::vector<std::byte>& payload,
+    const std::array<std::byte, ArchiveFooter::kBytes>& footer,
+    std::uint64_t at_byte) {
+  std::vector<std::byte> frame = payload;
+  frame.insert(frame.end(), footer.begin(), footer.end());
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(at_byte, frame.size()));
   const int fd =
@@ -99,10 +105,10 @@ void fsync_directory(const std::filesystem::path& dir) {
 
 void BinaryWriter::save(const std::filesystem::path& path,
                         std::uint64_t generation) const {
-  const std::vector<std::byte> frame = seal_frame(buffer_, generation);
+  const auto footer = seal_footer(buffer_, generation);
   if (fault::armed()) {
     if (const auto at_byte = fault::torn_write_byte()) {
-      tear_and_die(path, frame, *at_byte);
+      tear_and_die(path, buffer_, footer, *at_byte);
     }
     fault::hit("archive-write");
   }
@@ -128,7 +134,10 @@ void BinaryWriter::save(const std::filesystem::path& path,
     throw_errno(ArchiveErrorKind::kIo, std::string("BinaryWriter: ") + step,
                 tmp);
   };
-  if (!write_all(fd, frame.data(), frame.size())) fail("write failed for");
+  if (!write_all(fd, buffer_.data(), buffer_.size()) ||
+      !write_all(fd, footer.data(), footer.size())) {
+    fail("write failed for");
+  }
   // Durability order: file contents reach stable storage before the
   // rename publishes them, and the directory entry after.
   if (::fsync(fd) != 0) fail("fsync failed for");

@@ -115,6 +115,11 @@ class BinaryWriter {
     buffer_.insert(buffer_.end(), p, p + v.size() * sizeof(T));
   }
 
+  /// Make room for `extra` more bytes in one allocation, so a large
+  /// payload of known size is not built through a chain of doubling
+  /// copies.
+  void reserve(std::size_t extra) { buffer_.reserve(buffer_.size() + extra); }
+
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
     return buffer_;
   }
@@ -122,8 +127,11 @@ class BinaryWriter {
 
   /// Durable atomic persist: unique temp file (pid + counter), payload +
   /// checksummed footer stamped with `generation`, fsync of file and
-  /// parent directory, rename into place. The temp file is removed on any
-  /// failure. Throws ArchiveError (kIo) naming the failing step.
+  /// parent directory, rename into place. The footer is sealed without
+  /// copying the payload: its CRC streams over the buffer and then the
+  /// footer fields, and the two are written back to back. The temp file is
+  /// removed on any failure. Throws ArchiveError (kIo) naming the failing
+  /// step.
   void save(const std::filesystem::path& path,
             std::uint64_t generation = 0) const;
 

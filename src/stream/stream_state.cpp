@@ -107,12 +107,55 @@ void write_checkpoints(io::BinaryWriter& out,
   for (const epi::Checkpoint& c : v) write_checkpoint(out, c);
 }
 
+/// Bytes write_vector / write_checkpoint / write_checkpoints append.
+template <typename T>
+std::size_t vector_bytes(const std::vector<T>& v) {
+  return sizeof(std::uint64_t) + v.size() * sizeof(T);
+}
+
+std::size_t checkpoint_bytes(const epi::Checkpoint& ckpt) {
+  return sizeof ckpt.day + vector_bytes(ckpt.bytes);
+}
+
+std::size_t checkpoints_bytes(const std::vector<epi::Checkpoint>& v) {
+  std::size_t n = sizeof(std::uint64_t);
+  for (const epi::Checkpoint& c : v) n += checkpoint_bytes(c);
+  return n;
+}
+
 std::vector<epi::Checkpoint> read_checkpoints(io::BinaryReader& in) {
   const auto n = in.read<std::uint64_t>();
   std::vector<epi::Checkpoint> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_checkpoint(in));
   return v;
+}
+
+/// Exact archive size of everything serialize() writes after the day
+/// records: the simulator states and the plain vectors, which are nearly
+/// all of a checkpoint, so serialize() can reserve them in one allocation.
+std::size_t state_bytes(const StreamState& st) {
+  std::size_t n = 2 * sizeof(std::uint8_t);  // has_initial, has_posterior
+  if (st.has_initial) n += checkpoint_bytes(st.initial);
+  if (st.has_posterior) {
+    n += vector_bytes(st.posterior.theta) + vector_bytes(st.posterior.rho) +
+         vector_bytes(st.posterior.parent_slot);
+  }
+  n += checkpoints_bytes(st.parent_pool);
+  n += vector_bytes(st.obs_cases) + vector_bytes(st.obs_deaths) +
+       sizeof st.n_sims;
+  n += vector_bytes(st.param_index) + vector_bytes(st.replicate) +
+       vector_bytes(st.parent) + vector_bytes(st.theta) +
+       vector_bytes(st.rho) + vector_bytes(st.seed) + vector_bytes(st.stream);
+  n += vector_bytes(st.true_cases_prefix) +
+       vector_bytes(st.obs_cases_prefix) + vector_bytes(st.deaths_prefix);
+  n += vector_bytes(st.case_acc) + vector_bytes(st.death_acc) +
+       vector_bytes(st.full_case_acc) + vector_bytes(st.full_death_acc);
+  n += vector_bytes(st.bias_stream) + vector_bytes(st.bias_position);
+  n += checkpoints_bytes(st.cloud);
+  n += sizeof st.log_marginal_acc + sizeof st.midwindow_resamples +
+       sizeof st.propagate_seconds + vector_bytes(st.degenerate_draw);
+  return n;
 }
 
 void write_interval(io::BinaryWriter& out, const stats::Interval& iv) {
@@ -236,6 +279,7 @@ void StreamState::serialize(io::BinaryWriter& out) const {
   out.write(static_cast<std::uint64_t>(days.size()));
   for (const StreamDayRecord& d : days) write_day_record(out, d);
 
+  out.reserve(state_bytes(*this));
   out.write(static_cast<std::uint8_t>(has_initial));
   if (has_initial) write_checkpoint(out, initial);
   out.write(static_cast<std::uint8_t>(has_posterior));

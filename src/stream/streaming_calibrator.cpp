@@ -26,6 +26,18 @@ constexpr std::uint64_t kStreamResampleTag = 0x53545253ull;  // "STRS"
 constexpr std::uint64_t kStreamModelTag = 0x53544D44ull;     // "STMD"
 constexpr std::uint64_t kStreamBiasTag = 0x53544249ull;      // "STBI"
 
+/// Serialize every slot of `pool` into `out`, one slot per index on all
+/// lanes. Each index writes only its own pre-sized element, so the bytes
+/// do not depend on the lane count (StatePool::to_checkpoint is safe on
+/// distinct slots concurrently).
+void encode_states(const core::StatePool& pool,
+                   std::vector<epi::Checkpoint>& out) {
+  out.resize(pool.size());
+  parallel::parallel_for(out.size(), [&](std::size_t i) {
+    out[i] = pool.to_checkpoint(i);
+  });
+}
+
 }  // namespace
 
 StreamingCalibrator::StreamingCalibrator(const core::Simulator& sim,
@@ -450,12 +462,7 @@ void StreamingCalibrator::maybe_checkpoint() {
       static_cast<std::uint64_t>(config_.checkpoint_every)) {
     return;
   }
-  // Reset before snapshotting so the archive does not re-trigger a
-  // checkpoint on the first post-resume ingest.
-  days_since_checkpoint_ = 0;
-  io::BinaryWriter out(StreamState::kArchiveVersion);
-  snapshot().serialize(out);
-  io::CheckpointRotation(config_.checkpoint_path).save_next(out);
+  save_rotated();
 }
 
 void StreamingCalibrator::checkpoint_now() {
@@ -463,6 +470,12 @@ void StreamingCalibrator::checkpoint_now() {
     throw std::logic_error(
         "StreamingCalibrator::checkpoint_now: no checkpoint_path configured");
   }
+  save_rotated();
+}
+
+void StreamingCalibrator::save_rotated() {
+  // Reset before snapshotting so the archive does not re-trigger a
+  // checkpoint on the first post-resume ingest.
   days_since_checkpoint_ = 0;
   io::BinaryWriter out(StreamState::kArchiveVersion);
   snapshot().serialize(out);
@@ -488,10 +501,7 @@ StreamState StreamingCalibrator::snapshot() const {
   st.has_posterior = prev_draws_ != nullptr;
   if (st.has_posterior) {
     st.posterior = *prev_draws_;
-    st.parent_pool.reserve(parents_->size());
-    for (std::size_t p = 0; p < parents_->size(); ++p) {
-      st.parent_pool.push_back(parents_->to_checkpoint(p));
-    }
+    encode_states(*parents_, st.parent_pool);
   }
 
   if (window_open_) {
@@ -531,10 +541,7 @@ StreamState StreamingCalibrator::snapshot() const {
       st.bias_stream.push_back(e.stream_value());
       st.bias_position.push_back(e.position());
     }
-    st.cloud.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      st.cloud.push_back(cloud_->to_checkpoint(s));
-    }
+    encode_states(*cloud_, st.cloud);
     st.log_marginal_acc = log_marginal_acc_;
     st.midwindow_resamples = midwindow_resamples_;
     st.propagate_seconds = propagate_seconds_;

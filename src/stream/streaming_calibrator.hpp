@@ -140,6 +140,10 @@ class StreamingCalibrator {
   void finalize_window();
   void close_window_members();
   void maybe_checkpoint();
+  /// The one rotated-save path behind maybe_checkpoint and checkpoint_now:
+  /// resets the cadence counter, snapshots, and returns once the slot is
+  /// durable.
+  void save_rotated();
   [[nodiscard]] std::size_t n_sims() const noexcept {
     return config_.calibration.n_params * config_.calibration.replicates;
   }

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 
+#include "epi/chain_binomial.hpp"
 #include "epi/seir_model.hpp"
 
 namespace {
@@ -192,6 +195,143 @@ TEST(Checkpoint, CorruptBytesRejected) {
   Checkpoint ckpt = m.make_checkpoint();
   ckpt.bytes.resize(ckpt.bytes.size() / 2);
   EXPECT_THROW((void)SeirModel::restore(ckpt), epismc::io::ArchiveError);
+}
+
+// --- Hand-corrupted archives: every bad field is a typed kCorrupt. --------
+
+using epismc::io::ArchiveError;
+using epismc::io::ArchiveErrorKind;
+using epismc::io::BinaryReader;
+using epismc::io::BinaryWriter;
+
+ChainBinomialModel seeded_chain(std::uint64_t seed) {
+  ChainBinomialModel m(test_params(), PiecewiseSchedule(0.3), seed, 5);
+  m.seed_exposed(200);
+  return m;
+}
+
+/// `ckpt` with its archived parameters replaced by `params` (both engines
+/// lead their payload with the parameter block).
+Checkpoint with_params(const Checkpoint& ckpt,
+                       const DiseaseParameters& params) {
+  BinaryReader in{ckpt.bytes};
+  (void)DiseaseParameters::deserialize(in);
+  const std::size_t rest = ckpt.bytes.size() - in.remaining();
+  BinaryWriter out(in.version());
+  params.serialize(out);
+  Checkpoint bad = ckpt;
+  bad.bytes = out.bytes();
+  bad.bytes.insert(bad.bytes.end(), ckpt.bytes.begin() + rest,
+                   ckpt.bytes.end());
+  return bad;
+}
+
+/// Byte offset of the census array: parameters, schedule and day precede
+/// it in both engines' layouts.
+std::size_t census_offset(const Checkpoint& ckpt) {
+  BinaryReader in{ckpt.bytes};
+  (void)DiseaseParameters::deserialize(in);
+  (void)PiecewiseSchedule::deserialize(in);
+  (void)in.read<std::int32_t>();
+  return ckpt.bytes.size() - in.remaining();
+}
+
+std::int64_t read_i64(const Checkpoint& ckpt, std::size_t at) {
+  std::int64_t v;
+  std::memcpy(&v, ckpt.bytes.data() + at, sizeof v);
+  return v;
+}
+
+void write_i64(Checkpoint& ckpt, std::size_t at, std::int64_t v) {
+  std::memcpy(ckpt.bytes.data() + at, &v, sizeof v);
+}
+
+/// Census entry `c` moved by `delta` (entry `c + 1` by `balance`).
+Checkpoint shift_census(const Checkpoint& ckpt, std::size_t c,
+                        std::int64_t delta, std::int64_t balance) {
+  Checkpoint bad = ckpt;
+  const std::size_t at = census_offset(ckpt) + c * sizeof(std::int64_t);
+  write_i64(bad, at, read_i64(bad, at) + delta);
+  const std::size_t next = at + sizeof(std::int64_t);
+  write_i64(bad, next, read_i64(bad, next) + balance);
+  return bad;
+}
+
+template <typename Restore>
+void expect_corrupt(Restore&& restore, const char* what) {
+  try {
+    restore();
+    ADD_FAILURE() << what << ": restore accepted the archive";
+  } catch (const ArchiveError& e) {
+    EXPECT_EQ(e.kind(), ArchiveErrorKind::kCorrupt) << what << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": untyped " << e.what();
+  }
+}
+
+TEST(Checkpoint, ArchivedInvalidParametersAreCorrupt) {
+  DiseaseParameters bad = test_params();
+  bad.fraction_mild = 1.5;
+
+  SeirModel m = seeded_model(43);
+  m.run_until_day(10);
+  const Checkpoint seir = with_params(m.make_checkpoint(), bad);
+  expect_corrupt([&] { (void)SeirModel::restore(seir); }, "seir");
+
+  ChainBinomialModel c = seeded_chain(43);
+  c.run_until_day(10);
+  const Checkpoint chain = with_params(c.make_checkpoint(), bad);
+  expect_corrupt([&] { (void)ChainBinomialModel::restore(chain); }, "chain");
+}
+
+TEST(Checkpoint, ArchivedNegativeCensusIsCorrupt) {
+  // S goes negative while the next compartment absorbs the difference, so
+  // the census still sums to the population: only the sign is wrong.
+  SeirModel m = seeded_model(47);
+  m.run_until_day(10);
+  const Checkpoint good = m.make_checkpoint();
+  const std::int64_t s = read_i64(good, census_offset(good));
+  const Checkpoint seir = shift_census(good, 0, -(s + 1), s + 1);
+  expect_corrupt([&] { (void)SeirModel::restore(seir); }, "seir");
+
+  ChainBinomialModel c = seeded_chain(47);
+  c.run_until_day(10);
+  const Checkpoint cgood = c.make_checkpoint();
+  const std::int64_t cs = read_i64(cgood, census_offset(cgood));
+  const Checkpoint chain = shift_census(cgood, 0, -(cs + 1), cs + 1);
+  expect_corrupt([&] { (void)ChainBinomialModel::restore(chain); }, "chain");
+}
+
+TEST(Checkpoint, ArchivedCensusNotSummingToPopulationIsCorrupt) {
+  SeirModel m = seeded_model(53);
+  m.run_until_day(10);
+  const Checkpoint seir = shift_census(m.make_checkpoint(), 0, 1, 0);
+  expect_corrupt([&] { (void)SeirModel::restore(seir); }, "seir");
+
+  ChainBinomialModel c = seeded_chain(53);
+  c.run_until_day(10);
+  const Checkpoint chain = shift_census(c.make_checkpoint(), 0, -1, 0);
+  expect_corrupt([&] { (void)ChainBinomialModel::restore(chain); }, "chain");
+}
+
+TEST(Checkpoint, ArchivedNegativeOrOverflowingEventCountIsCorrupt) {
+  SeirModel m = seeded_model(59);
+  m.run_until_day(10);
+  ASSERT_GT(m.pending_events(), 0u);
+  const Checkpoint good = m.make_checkpoint();
+  // Census, then the event count, then events of (day i32, from u8, to u8,
+  // count i64): the first event's count sits 6 bytes into it.
+  const std::size_t count_at = census_offset(good) + sizeof(Census) +
+                               sizeof(std::uint64_t) + 6;
+  ASSERT_GT(read_i64(good, count_at), 0);
+
+  for (const std::int64_t count :
+       {std::int64_t{-5}, std::numeric_limits<std::int64_t>::max()}) {
+    Checkpoint bad = good;
+    write_i64(bad, count_at, count);
+    expect_corrupt([&] { (void)SeirModel::restore(bad); },
+                   count < 0 ? "negative count" : "overflowing count");
+  }
 }
 
 TEST(Checkpoint, ConservationAfterRestore) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "api/api.hpp"
 #include "core/scenario.hpp"
 #include "io/checkpoint_rotation.hpp"
+#include "parallel/parallel.hpp"
 #include "stream/stream_state.hpp"
 #include "stream/streaming_calibrator.hpp"
 #include "simd/simd.hpp"
@@ -346,6 +348,138 @@ TEST(StreamingCalibrator, AutomaticCheckpointsLandOnDisk) {
   std::filesystem::remove(rotation.slot_a());
 }
 
+// --- Checkpoint format: the save path must not change a byte. ------------
+
+std::vector<std::byte> read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::vector<std::byte> bytes(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+/// A calibrator that checkpoints only when asked, into fresh rotated slots
+/// under `base`, fed into the middle of window 2 so both the parent pool
+/// and the live cloud are in the archive.
+StreamingCalibrator mid_window_calibrator(api::CalibrationSession& session,
+                                          const std::filesystem::path& base) {
+  const io::CheckpointRotation rotation{base};
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+  api::StreamOptions options;
+  options.checkpoint_every = 1000;
+  options.checkpoint_path = base;
+  StreamingCalibrator cal = session.stream(options);
+  feed_days(cal, 20, 40);
+  return cal;
+}
+
+TEST(StreamCheckpoint, SlotPayloadEqualsSnapshotBytes) {
+  const auto base = std::filesystem::temp_directory_path() /
+                    "epismc_stream_payload_ckpt.bin";
+  auto session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator cal = mid_window_calibrator(session, base);
+  cal.checkpoint_now();
+
+  const io::CheckpointRotation rotation{base};
+  const std::vector<std::byte> file = read_file(rotation.by_recency()[0].path);
+  io::BinaryWriter expect(StreamState::kArchiveVersion);
+  cal.snapshot().serialize(expect);
+  ASSERT_EQ(file.size(), expect.size() + io::ArchiveFooter::kBytes);
+  EXPECT_TRUE(std::equal(expect.bytes().begin(), expect.bytes().end(),
+                         file.begin()));
+  std::filesystem::remove(rotation.slot_a());
+}
+
+TEST(StreamCheckpoint, SlotBytesDoNotDependOnLaneCount) {
+  const auto base = std::filesystem::temp_directory_path() /
+                    "epismc_stream_lanes_ckpt.bin";
+  const io::CheckpointRotation rotation{base};
+  auto session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator cal = mid_window_calibrator(session, base);
+
+  // Both saves land in slot a at generation 1 (the serial one is moved
+  // aside first), so the whole files -- footer included -- must match.
+  const auto serial_copy = base.string() + ".serial";
+  {
+    const parallel::ScopedBackend serial(parallel::PoolBackend::kSerial);
+    cal.checkpoint_now();
+  }
+  std::filesystem::rename(rotation.slot_a(), serial_copy);
+  const int lanes = parallel::TaskPool::instance().lanes();
+  {
+    const parallel::ScopedBackend pool(parallel::PoolBackend::kPool);
+    parallel::set_threads(4);
+    cal.checkpoint_now();
+  }
+  parallel::set_threads(lanes);
+
+  EXPECT_EQ(read_file(serial_copy), read_file(rotation.slot_a()));
+  std::filesystem::remove(serial_copy);
+  std::filesystem::remove(rotation.slot_a());
+}
+
+TEST(StreamCheckpoint, FixedArchiveFooterCrcIsPinned) {
+  // A hand-built snapshot (no wall-clock fields, no simulation output), so
+  // its sealed bytes are a pure function of the archive format. The CRC
+  // constant was recorded from the table-driven checksum before the
+  // hardware path existed; a change here means the on-disk format moved.
+  StreamState st;
+  st.config_fingerprint = 0x0123456789ABCDEFull;
+  st.simulator_name = "chain-binomial";
+  st.cursor = 26;
+  st.any_assimilated = true;
+  st.window_open = true;
+  st.days_since_checkpoint = 3;
+  StreamDayRecord day;
+  day.day = 26;
+  day.ess = 123.5;
+  day.log_marginal = -42.25;
+  st.days = {day};
+  st.has_initial = true;
+  st.initial.day = 19;
+  for (int i = 0; i < 100; ++i) {
+    st.initial.bytes.push_back(static_cast<std::byte>(i * 7));
+  }
+  st.obs_cases = {3.0, 5.0, 8.0};
+  st.n_sims = 2;
+  st.param_index = {0, 1};
+  st.replicate = {0, 0};
+  st.parent = {0, 0};
+  st.theta = {0.25, 0.375};
+  st.rho = {0.5, 0.625};
+  st.seed = {11, 12};
+  st.stream = {21, 22};
+  st.true_cases_prefix = {1, 2, 3, 4, 5, 6};
+  st.obs_cases_prefix = {1, 1, 2, 2, 3, 3};
+  st.deaths_prefix = {0, 0, 0, 0, 0, 1};
+  st.case_acc = {-1.5, -2.5};
+  st.death_acc = {0.0, 0.0};
+  st.full_case_acc = {-1.5, -2.5};
+  st.full_death_acc = {0.0, 0.0};
+  st.bias_stream = {31, 32};
+  st.bias_position = {4, 8};
+  st.cloud = {st.initial, st.initial};
+  st.degenerate_draw = {0, 1};
+
+  const auto base = std::filesystem::temp_directory_path() /
+                    "epismc_stream_pinned_crc.bin";
+  const io::CheckpointRotation rotation{base};
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  st.serialize(out);
+  rotation.save_next(out);
+
+  const std::vector<std::byte> file = read_file(rotation.slot_a());
+  ASSERT_EQ(file.size(), out.size() + io::ArchiveFooter::kBytes);
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, file.data() + file.size() - sizeof crc, sizeof crc);
+  EXPECT_EQ(crc, 0x41338AB4u);
+  std::filesystem::remove(rotation.slot_a());
+}
+
 // --- StreamState archive. ---------------------------------------------------
 
 TEST(StreamState, RoundTripsFieldByField) {
@@ -434,6 +568,18 @@ TEST(StreamState, RoundTripsFieldByField) {
   EXPECT_BITEQ(a.propagate_seconds, b.propagate_seconds);
   EXPECT_EQ(a.degenerate_draw, b.degenerate_draw);
   EXPECT_EQ(a.degenerate_draw.size(), a.n_sims);
+}
+
+TEST(StreamState, SerializeReservesTheStateTailExactly) {
+  // state_bytes() must match what serialize() writes after the day
+  // records: too little re-grows the multi-megabyte buffer by doubling,
+  // too much leaves slack in every checkpoint's peak memory.
+  auto session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator cal = session.stream();
+  feed_days(cal, 20, 38);
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  cal.snapshot().serialize(out);
+  EXPECT_EQ(out.bytes().capacity(), out.size());
 }
 
 TEST(StreamState, RejectsFutureArchiveVersion) {
