@@ -1,16 +1,18 @@
 // E13 / Microbenchmarks (google-benchmark): the kernels the SMC hot path is
 // built from. Binomial sampling dominates the simulator step (every
 // compartment transition and the bias model are binomial draws), so the
-// BINV/BTPE regimes are measured separately; engine overhead, simulator
-// day-steps, resampling, likelihood evaluation and checkpoint round-trips
-// complete the picture.
+// BINV/BTPE regimes and the sojourn-time cohort split are measured
+// separately; engine overhead, simulator day-steps, resampling, likelihood
+// evaluation and checkpoint round-trips complete the picture.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "abm/agent_model.hpp"
 #include "api/components.hpp"
+#include "epi/delay.hpp"
 #include "epi/seir_model.hpp"
 #include "parallel/parallel.hpp"
 #include "random/distributions.hpp"
@@ -49,13 +51,16 @@ void BM_NormalInverseCdf(benchmark::State& state) {
 BENCHMARK(BM_NormalInverseCdf);
 
 void BM_BinomialSmallNp(benchmark::State& state) {
-  // BINV inversion regime (n*p < 30).
+  // BINV inversion regime (n*p < 30) at n = 1000, swept over n*p: near
+  // 0.1 most draws take the pow-free zero path, near 30 the search walks
+  // ~30 steps. Arg is n*p in tenths.
+  const double np = static_cast<double>(state.range(0)) / 10.0;
   rng::Engine eng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng::binomial(eng, 100, 0.05));
+    benchmark::DoNotOptimize(rng::binomial(eng, 1000, np / 1000.0));
   }
 }
-BENCHMARK(BM_BinomialSmallNp);
+BENCHMARK(BM_BinomialSmallNp)->Arg(1)->Arg(10)->Arg(100)->Arg(290);
 
 void BM_BinomialBtpe(benchmark::State& state) {
   // BTPE rejection regime; n at epidemic scale -- cost must stay O(1).
@@ -66,6 +71,23 @@ void BM_BinomialBtpe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinomialBtpe)->Arg(1000)->Arg(100000)->Arg(2700000);
+
+void BM_DelaySplit(benchmark::State& state) {
+  // Cohort split over the paper's latent-period table: per-individual
+  // sampling at 16, conditional binomials above.
+  const epi::DiseaseParameters params;
+  const epi::DelayDistribution delay(params.latent_period, params.erlang_shape,
+                                     params.max_delay);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(delay.max_delay()));
+  const std::int64_t cohort = state.range(0);
+  rng::Engine eng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(delay.split_into(eng, cohort, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DelaySplit)->Arg(16)->Arg(1000)->Arg(100000);
 
 void BM_PoissonPtrs(benchmark::State& state) {
   rng::Engine eng(5);

@@ -644,10 +644,19 @@ AgentBasedModel AgentBasedModel::restore(const epi::Checkpoint& ckpt,
         io::ArchiveErrorKind::kVersion,
         "AgentBasedModel::restore: unsupported checkpoint version");
   }
+  constexpr const char* kWho = "AgentBasedModel::restore";
   AgentBasedModel m;
-  m.config_.disease = epi::DiseaseParameters::deserialize(in);
+  m.config_.disease = epi::detail::read_archived_parameters(in, kWho);
   m.config_.mean_household_size = in.read<double>();
   m.config_.household_share = in.read<double>();
+  // Bad archived fields are a property of the bytes (kCorrupt); a bad
+  // override below stays the caller's std::invalid_argument.
+  try {
+    m.config_.validate();
+  } catch (const std::invalid_argument& e) {
+    throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                           std::string(kWho) + ": archived " + e.what());
+  }
   m.config_.network_seed = in.read<std::uint64_t>();
   const auto engine_tag = in.read<std::uint8_t>();
   if (engine_tag > static_cast<std::uint8_t>(AbmEngine::kReference)) {
@@ -658,6 +667,8 @@ AgentBasedModel AgentBasedModel::restore(const epi::Checkpoint& ckpt,
   m.transmission_ = epi::PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<epi::Census>();
+  epi::detail::check_archived_census(m.counts_, m.config_.disease.population,
+                                     kWho);
   m.state_ = in.read_vector<std::uint8_t>();
   m.next_state_ = in.read_vector<std::uint8_t>();
   m.next_day_ = in.read_vector<std::int32_t>();

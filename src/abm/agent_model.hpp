@@ -126,6 +126,10 @@ class AgentBasedModel {
   void set_engine(AbmEngine engine);
 
   [[nodiscard]] epi::Checkpoint make_checkpoint() const;
+  /// Archived fields that fail validation (disease parameters, household
+  /// size or share, a census that does not sum to the population) throw
+  /// io::ArchiveError(kCorrupt); an invalid override in `ovr` throws
+  /// std::invalid_argument.
   [[nodiscard]] static AgentBasedModel restore(const epi::Checkpoint& ckpt,
                                                const epi::RestartOverrides& ovr = {});
 

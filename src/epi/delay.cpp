@@ -1,5 +1,6 @@
 #include "epi/delay.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -46,21 +47,61 @@ DelayDistribution::DelayDistribution(double mean_days, int erlang_shape,
   cdf_.resize(pmf_.size());
   std::partial_sum(pmf_.begin(), pmf_.end(), cdf_.begin());
   cdf_.back() = 1.0;
+
+  // The pmf never changes, so rng::multinomial's per-call validation and
+  // mass bookkeeping are done once here, in its order and arithmetic. The
+  // bins telescope to 1, so a positive total needs no separate check.
+  double total = 0.0;
+  for (const double p : pmf_) {
+    if (p < 0.0) return;  // leaves cond_ empty: large splits are refused
+    total += p;
+  }
+  double mass = total;
+  for (std::size_t i = 0; i + 1 < pmf_.size(); ++i) {
+    cond_.push_back(std::clamp(pmf_[i] / mass, 0.0, 1.0));
+    mass -= pmf_[i];
+    if (mass <= 0.0) break;
+  }
 }
 
-std::vector<std::int64_t> DelayDistribution::split(rng::Engine& eng,
-                                                   std::int64_t count) const {
+std::size_t DelayDistribution::split_into(rng::Engine& eng, std::int64_t count,
+                                          std::span<std::int64_t> out) const {
   if (pmf_.empty()) throw std::logic_error("DelayDistribution: not built");
+  if (out.size() < pmf_.size()) {
+    throw std::invalid_argument(
+        "DelayDistribution::split_into: output shorter than max_delay");
+  }
+  if (count <= 0) return 0;
   if (count <= 16) {
     // Per-individual sampling beats a full multinomial sweep for the small
     // cohorts that dominate late-pipeline compartments (ICU, deaths).
-    std::vector<std::int64_t> out(pmf_.size(), 0);
+    std::size_t k = 0;
     for (std::int64_t i = 0; i < count; ++i) {
-      out[static_cast<std::size_t>(sample_one(eng) - 1)] += 1;
+      const auto d = static_cast<std::size_t>(sample_one(eng) - 1);
+      if (d >= k) {
+        std::fill(out.begin() + k, out.begin() + d + 1, std::int64_t{0});
+        k = d + 1;
+      }
+      out[d] += 1;
     }
-    return out;
+    return k;
   }
-  return rng::multinomial(eng, count, pmf_);
+  if (cond_.empty()) {
+    throw std::invalid_argument(
+        "DelayDistribution::split_into: pmf has a negative entry");
+  }
+  std::int64_t remaining = count;
+  std::size_t k = 0;
+  for (; k < cond_.size() && remaining > 0; ++k) {
+    const std::int64_t draw = rng::binomial(eng, remaining, cond_[k]);
+    out[k] = draw;
+    remaining -= draw;
+  }
+  if (remaining == 0) return k;
+  const std::size_t last = pmf_.size() - 1;
+  std::fill(out.begin() + k, out.begin() + last, std::int64_t{0});
+  out[last] = remaining;
+  return pmf_.size();
 }
 
 int DelayDistribution::sample_one(rng::Engine& eng) const {

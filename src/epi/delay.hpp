@@ -26,12 +26,20 @@ class DelayDistribution {
   DelayDistribution(double mean_days, int erlang_shape, int max_delay);
 
   /// Split a cohort of `count` individuals across delays 1..max_delay.
-  /// out[d] = number of individuals leaving after exactly d+1 days.
-  /// Small cohorts are sampled individually (O(count) cdf lookups), large
-  /// ones via conditional-binomial multinomial (O(max_delay) draws) --
-  /// identical distribution, different constants.
-  [[nodiscard]] std::vector<std::int64_t> split(rng::Engine& eng,
-                                                std::int64_t count) const;
+  /// Writes out[d] = number of individuals leaving after exactly d+1 days
+  /// for d in [0, k) and returns k; bins from k on are left untouched and
+  /// stand for zero (count <= 0 returns 0). `out` must hold max_delay()
+  /// entries, else std::invalid_argument. Small cohorts are sampled
+  /// individually (O(count) cdf lookups), large ones by conditional
+  /// binomials (O(max_delay) draws) -- identical distribution, different
+  /// constants. The large path consumes exactly the draws of
+  /// rng::multinomial(eng, count, pmf()) and yields the same bins, from
+  /// conditional probabilities precomputed at construction. Like it, the
+  /// large path throws std::invalid_argument when the pmf has a negative
+  /// entry, which rounding can produce for long high-shape laws; such a
+  /// table still serves sample_one() and small cohorts.
+  [[nodiscard]] std::size_t split_into(rng::Engine& eng, std::int64_t count,
+                                       std::span<std::int64_t> out) const;
 
   /// Sample a single delay in days (>= 1).
   [[nodiscard]] int sample_one(rng::Engine& eng) const;
@@ -45,6 +53,11 @@ class DelayDistribution {
  private:
   std::vector<double> pmf_;  // pmf_[i] = P(delay == i + 1 days)
   std::vector<double> cdf_;
+  // cond_[i] = P(delay == i + 1 | delay > i), clamped to [0, 1], with the
+  // arithmetic and order of rng::multinomial. Bins [0, cond_.size()) get a
+  // binomial draw; what is left lands in the last bin. Empty when a pmf
+  // entry rounded below zero.
+  std::vector<double> cond_;
 };
 
 /// Regularized lower incomplete gamma P(k, x) for integer k >= 1

@@ -16,6 +16,10 @@
 
 namespace epismc::epi {
 
+/// Largest accepted `max_delay`: every sojourn table has at most this many
+/// day bins, so fixed-size split scratch can hold any of them.
+inline constexpr int kMaxDelayCeiling = 512;
+
 struct DiseaseParameters {
   // Population.
   std::int64_t population = 2'700'000;  // City of Chicago, order of magnitude
@@ -75,8 +79,9 @@ struct DiseaseParameters {
     if (erlang_shape < 1 || erlang_shape > 16) {
       throw std::invalid_argument("DiseaseParameters: erlang_shape must be in [1, 16]");
     }
-    if (max_delay < 8 || max_delay > 512) {
-      throw std::invalid_argument("DiseaseParameters: max_delay must be in [8, 512]");
+    if (max_delay < 8 || max_delay > kMaxDelayCeiling) {
+      throw std::invalid_argument("DiseaseParameters: max_delay must be in [8, " +
+                                  std::to_string(kMaxDelayCeiling) + "]");
     }
     fraction(fraction_symptomatic, "fraction_symptomatic");
     fraction(fraction_mild, "fraction_mild");

@@ -1,6 +1,7 @@
 #include "epi/seir_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -128,9 +129,18 @@ void SeirModel::schedule_split(const DelayDistribution& delay,
                                Compartment from, Compartment to,
                                std::int64_t count) {
   if (count <= 0) return;
-  const auto buckets = delay.split(eng_, count);
-  for (std::size_t d = 0; d < buckets.size(); ++d) {
-    schedule(day_ + static_cast<std::int32_t>(d) + 1, from, to, buckets[d]);
+  // Only the k bins split_into returns are written; the rest are never read.
+  std::array<std::int64_t, kMaxDelayCeiling> buckets;
+  const std::size_t k = delay.split_into(eng_, count, buckets);
+  assert(k < ring_.size() && "event beyond the ring horizon");
+  const int edge = edge_index(from, to);
+  assert(edge >= 0 && "scheduled transition not in the topology");
+  const auto e = static_cast<std::size_t>(edge);
+  // Bucket d is due on day_ + d + 1: walk the ring forward from there.
+  std::size_t slot = ring_slot(day_ + 1);
+  for (std::size_t d = 0; d < k; ++d) {
+    if (buckets[d] > 0) ring_[slot][e] += buckets[d];
+    if (++slot == ring_.size()) slot = 0;
   }
 }
 

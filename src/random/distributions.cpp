@@ -194,28 +194,41 @@ std::int64_t poisson(Engine& eng, double mean) {
 namespace {
 
 /// BINV: sequential-search inversion. Requires n*p modest so that q^n does
-/// not underflow; the dispatcher guarantees n*p < 30 here.
+/// not underflow; the dispatcher guarantees n*p < 30 and p <= 0.5 here.
 std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p) {
   const double q = 1.0 - p;
+  const double nd = static_cast<double>(n);
+  double u = uniform_double(eng);
+  // q >= 0.5 makes 1 - q exact, and Bernoulli's inequality gives
+  // q^n >= 1 - n(1 - q). The 2^-40 margin exceeds the rounding of this
+  // bound and of pow() by ~2^12, so u below it is u <= pow(q, n): the
+  // search would return 0 for this draw without taking a step.
+  if (u < 1.0 - nd * (1.0 - q) - 0x1.0p-40) return 0;
   const double s = p / q;
   const double npq_a = static_cast<double>(n + 1) * s;
-  const double r0 = std::pow(q, static_cast<double>(n));
+  const double r0 = std::pow(q, nd);
+  // The tail bound 110 + 10*sqrt(np) can only be exceeded with
+  // probability ~1e-20; restarting keeps the sampler exact-in-practice
+  // without risking an unbounded loop on degenerate float behaviour. It
+  // is at least 110, so it is only worked out once x gets past that.
+  std::int64_t xmax = 110;
+  bool xmax_exact = false;
   for (;;) {
-    double u = uniform_double(eng);
     double r = r0;
     std::int64_t x = 0;
-    // The tail bound 110 + 10*sqrt(np) can only be exceeded with
-    // probability ~1e-20; restarting keeps the sampler exact-in-practice
-    // without risking an unbounded loop on degenerate float behaviour.
-    const auto xmax =
-        110 + static_cast<std::int64_t>(10.0 * std::sqrt(static_cast<double>(n) * p));
     while (u > r) {
       u -= r;
       ++x;
-      if (x > xmax) break;
+      if (x > xmax) {
+        if (xmax_exact) break;
+        xmax += static_cast<std::int64_t>(10.0 * std::sqrt(nd * p));
+        xmax_exact = true;
+        if (x > xmax) break;
+      }
       r *= (npq_a / static_cast<double>(x)) - s;
     }
     if (x <= n && x <= xmax) return x;
+    u = uniform_double(eng);
   }
 }
 

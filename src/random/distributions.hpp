@@ -89,6 +89,14 @@ using Engine = PhiloxEngine;
 /// (Kachitvichyanukul & Schmeiser 1988) otherwise. O(1) in n for the
 /// large regime, which matters: the epidemic simulator thins populations
 /// of millions every step.
+///
+/// BINV draws its uniform u before computing q^n = pow(1-p, n) and
+/// returns 0 at once when u < 1 - n*p' - 2^-40, with p' = 1 - (1-p) for
+/// the p <= 1/2 it runs on. That is exact, not an approximation: q >= 1/2
+/// makes p' exact, Bernoulli's inequality gives q^n >= 1 - n*p', and the
+/// margin covers the rounding of both sides, so such a u also satisfies
+/// u <= pow(q, n) and the search would return 0 for the same single draw.
+/// Every value and every engine position match the plain search.
 [[nodiscard]] std::int64_t binomial(Engine& eng, std::int64_t n, double p);
 
 /// Multinomial draw by conditional binomials: partitions `n` across

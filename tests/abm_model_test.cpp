@@ -1,11 +1,13 @@
 // Agent-based model: the same invariants demanded of the compartmental
 // engines (conservation, determinism, checkpoint-resume equality, restart
-// overrides), plus agent-level structure (household topology determinism,
+// overrides, typed kCorrupt errors for hand-corrupted archives), plus
+// agent-level structure (household topology determinism,
 // per-agent state accounting) and SMC interoperability through the shared
 // Simulator interface.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "abm/abm_simulator.hpp"
@@ -150,6 +152,105 @@ TEST(AbmModel, RejectsCompartmentalCheckpoints) {
   compartmental.run_until_day(10);
   EXPECT_THROW((void)AgentBasedModel::restore(compartmental.make_checkpoint()),
                io::ArchiveError);
+}
+
+// --- Hand-corrupted archives: every bad archived field is a typed kCorrupt.
+
+using io::ArchiveError;
+using io::ArchiveErrorKind;
+
+template <typename Restore>
+void expect_corrupt(Restore&& restore, const char* what) {
+  try {
+    restore();
+    ADD_FAILURE() << what << ": restore accepted the archive";
+  } catch (const ArchiveError& e) {
+    EXPECT_EQ(e.kind(), ArchiveErrorKind::kCorrupt) << what << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": untyped " << e.what();
+  }
+}
+
+epi::Checkpoint mid_epidemic_checkpoint(std::uint64_t seed) {
+  AgentBasedModel m = seeded(seed);
+  m.run_until_day(10);
+  return m.make_checkpoint();
+}
+
+/// Byte offset just past the archived disease parameters, where the
+/// household mean size and share follow as two doubles.
+std::size_t household_offset(const epi::Checkpoint& ckpt) {
+  io::BinaryReader in{ckpt.bytes};
+  (void)epi::DiseaseParameters::deserialize(in);
+  return ckpt.bytes.size() - in.remaining();
+}
+
+/// Byte offset of the census: parameters, household fields, network seed,
+/// engine tag, schedule and day precede it.
+std::size_t census_offset(const epi::Checkpoint& ckpt) {
+  io::BinaryReader in{ckpt.bytes};
+  (void)epi::DiseaseParameters::deserialize(in);
+  (void)in.read<double>();
+  (void)in.read<double>();
+  (void)in.read<std::uint64_t>();
+  (void)in.read<std::uint8_t>();
+  (void)epi::PiecewiseSchedule::deserialize(in);
+  (void)in.read<std::int32_t>();
+  return ckpt.bytes.size() - in.remaining();
+}
+
+template <typename T>
+epi::Checkpoint overwrite(const epi::Checkpoint& ckpt, std::size_t at, T v) {
+  epi::Checkpoint bad = ckpt;
+  std::memcpy(bad.bytes.data() + at, &v, sizeof v);
+  return bad;
+}
+
+TEST(AbmModel, ArchivedInvalidDiseaseParametersAreCorrupt) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(61);
+  epi::DiseaseParameters params = small_config().disease;
+  params.fraction_mild = 1.5;
+  io::BinaryWriter out(io::BinaryReader{good.bytes}.version());
+  params.serialize(out);
+  epi::Checkpoint bad = good;
+  bad.bytes = out.bytes();
+  const std::size_t rest = household_offset(good);
+  bad.bytes.insert(bad.bytes.end(), good.bytes.begin() + rest,
+                   good.bytes.end());
+  expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, "params");
+}
+
+TEST(AbmModel, ArchivedInvalidHouseholdSizeIsCorrupt) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(67);
+  const epi::Checkpoint bad = overwrite(good, household_offset(good), 0.5);
+  expect_corrupt([&] { (void)AgentBasedModel::restore(bad); },
+                 "mean_household_size");
+}
+
+TEST(AbmModel, ArchivedInvalidHouseholdShareIsCorrupt) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(71);
+  const epi::Checkpoint bad =
+      overwrite(good, household_offset(good) + sizeof(double), 1.5);
+  expect_corrupt([&] { (void)AgentBasedModel::restore(bad); },
+                 "household_share");
+}
+
+TEST(AbmModel, ArchivedCensusNotSummingToPopulationIsCorrupt) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(73);
+  const std::size_t at = census_offset(good);
+  std::int64_t s = 0;
+  std::memcpy(&s, good.bytes.data() + at, sizeof s);
+  ASSERT_GT(s, 0);
+  const epi::Checkpoint bad = overwrite(good, at, s - 1);
+  expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, "census");
+}
+
+TEST(AbmModel, InvalidOverrideStaysInvalidArgument) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(79);
+  epi::RestartOverrides ovr;
+  ovr.fraction_mild = 1.5;
+  EXPECT_THROW((void)AgentBasedModel::restore(good, ovr),
+               std::invalid_argument);
 }
 
 TEST(AbmModel, SeedValidation) {

@@ -1,6 +1,7 @@
 // Distribution samplers: moment checks across parameter regimes
 // (parameterized sweeps cross the BINV/BTPE and mult/PTRS regime
-// boundaries), quantile function accuracy, and input validation.
+// boundaries), BINV draw-for-draw against the plain sequential search,
+// quantile function accuracy, and input validation.
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,64 @@ TEST(Binomial, EdgeCases) {
   EXPECT_THROW((void)epismc::rng::binomial(eng, -1, 0.5), std::invalid_argument);
   EXPECT_THROW((void)epismc::rng::binomial(eng, 10, 1.5), std::invalid_argument);
   EXPECT_THROW((void)epismc::rng::binomial(eng, 10, -0.1), std::invalid_argument);
+}
+
+// --- Binomial: BINV against the plain sequential search -------------------
+
+/// The BINV sampler as it was before the pow-free zero path: every call
+/// computes pow(q, n) and searches from x = 0. Kept verbatim as the oracle
+/// the shortcut must match draw for draw.
+std::int64_t binomial_inversion_oracle(Engine& eng, std::int64_t n, double p) {
+  const double q = 1.0 - p;
+  const double s = p / q;
+  const double npq_a = static_cast<double>(n + 1) * s;
+  const double r0 = std::pow(q, static_cast<double>(n));
+  for (;;) {
+    double u = epismc::rng::uniform_double(eng);
+    double r = r0;
+    std::int64_t x = 0;
+    const auto xmax =
+        110 + static_cast<std::int64_t>(10.0 * std::sqrt(static_cast<double>(n) * p));
+    while (u > r) {
+      u -= r;
+      ++x;
+      if (x > xmax) break;
+      r *= (npq_a / static_cast<double>(x)) - s;
+    }
+    if (x <= n && x <= xmax) return x;
+  }
+}
+
+TEST(Binomial, InversionMatchesPlainSearchDrawForDraw) {
+  constexpr int kDraws = 100000;
+  for (const std::int64_t n : {1ll, 2ll, 10ll, 1000ll, 2700000ll}) {
+    const double nd = static_cast<double>(n);
+    for (const double np :
+         {1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 29.9}) {
+      if (np > 0.5 * nd) continue;  // p would exceed 1/2
+      const double p_small = np / nd;
+      for (const double p : {p_small, 1.0 - p_small}) {
+        const bool flipped = p > 0.5;
+        const double pp = flipped ? 1.0 - p : p;
+        ASSERT_LT(nd * pp, 30.0) << "cell must dispatch to BINV";
+        Engine eng(20240050, static_cast<std::uint64_t>(n));
+        Engine oracle_eng = eng;
+        std::int64_t zeros = 0;
+        for (int i = 0; i < kDraws; ++i) {
+          const std::int64_t x0 = binomial_inversion_oracle(oracle_eng, n, pp);
+          const std::int64_t expected = flipped ? n - x0 : x0;
+          const std::int64_t got = epismc::rng::binomial(eng, n, p);
+          ASSERT_EQ(got, expected) << "n=" << n << " p=" << p << " draw " << i;
+          ASSERT_EQ(eng.position(), oracle_eng.position())
+              << "n=" << n << " p=" << p << " draw " << i;
+          zeros += x0 == 0 ? 1 : 0;
+        }
+        // The cells straddle the shortcut: q^n near 1 returns 0 almost
+        // always, n*p near 30 almost never.
+        if (np <= 0.1) EXPECT_GT(zeros, kDraws / 2) << "n=" << n << " p=" << p;
+      }
+    }
+  }
 }
 
 // --- Poisson ----------------------------------------------------------------
