@@ -1,101 +1,9 @@
 #include "abm/abm_simulator.hpp"
 
-#include <stdexcept>
-
 #include "core/batch_runner.hpp"
 
-namespace epismc::abm {
+namespace epismc::core {
 
-epi::Checkpoint AbmSimulator::initial_state(std::int32_t day,
-                                            std::uint64_t seed) const {
-  AgentBasedModel model(config_.abm,
-                        epi::PiecewiseSchedule(config_.burnin_theta), seed,
-                        /*stream=*/0);
-  model.seed_exposed(config_.initial_exposed);
-  model.run_until_day(day);
-  return model.make_checkpoint();
-}
+template class ModelSimulator<abm::AgentBasedModel, abm::AbmSimulatorConfig>;
 
-core::WindowRun AbmSimulator::run_window(const epi::Checkpoint& state,
-                                         double theta, std::uint64_t seed,
-                                         std::uint64_t stream,
-                                         std::int32_t to_day,
-                                         bool want_checkpoint) const {
-  epi::RestartOverrides ovr;
-  ovr.seed = seed;
-  ovr.stream = stream;
-  ovr.transmission_rate = theta;
-  AgentBasedModel model = AgentBasedModel::restore(state, ovr);
-  // The simulator's configured engine wins over the checkpoint's: restoring
-  // a reference-engine checkpoint through a fast-engine simulator (or vice
-  // versa) is the supported cross-engine A/B path. No-op when they agree.
-  model.set_engine(config_.abm.engine);
-  const std::int32_t from_day = model.day() + 1;
-  if (to_day < from_day) {
-    throw std::invalid_argument("run_window: to_day before checkpoint day");
-  }
-  model.run_until_day(to_day);
-
-  core::WindowRun run;
-  run.true_cases = model.trajectory().new_infections(from_day, to_day);
-  run.deaths = model.trajectory().new_deaths(from_day, to_day);
-  if (want_checkpoint) run.end_state = model.make_checkpoint();
-  return run;
-}
-
-std::unique_ptr<core::StatePool> AbmSimulator::make_pool() const {
-  return std::make_unique<core::ModelStatePool<AgentBasedModel>>();
-}
-
-void AbmSimulator::run_batch(const core::StatePool& parents,
-                             std::int32_t to_day, core::EnsembleBuffer& buffer,
-                             std::size_t first, std::size_t count,
-                             const core::BatchSink& sink) const {
-  validate_batch_args(parents, buffer, first, count, sink);
-  // The prepare hook forces this simulator's configured day-step engine on
-  // every scratch model, so cross-engine parent states are honored on the
-  // batch path exactly like run_window does per sim (no-op when the
-  // checkpoint already carries the configured engine).
-  const AbmEngine engine = config_.abm.engine;
-  core::detail::run_batch_fused<AgentBasedModel>(
-      parents, to_day, buffer, first, count, sink, name(),
-      [engine](AgentBasedModel& m) { m.set_engine(engine); });
-}
-
-void AbmSimulator::run_batch(std::span<const epi::Checkpoint> parents,
-                             std::int32_t to_day, core::EnsembleBuffer& buffer,
-                             std::size_t first, std::size_t count,
-                             std::span<epi::Checkpoint> end_states) const {
-  validate_batch_args(parents, buffer, first, count, end_states);
-  const AbmEngine engine = config_.abm.engine;
-  core::detail::run_batch_copying<AgentBasedModel>(
-      parents, to_day, buffer, first, count, end_states, name(),
-      [engine](AgentBasedModel& m) { m.set_engine(engine); });
-}
-
-void AbmSimulator::advance_batch(core::StatePool& states, std::int32_t to_day,
-                                 core::EnsembleBuffer& buffer,
-                                 std::size_t first, std::size_t count,
-                                 const core::BatchSink& sink) const {
-  const AbmEngine engine = config_.abm.engine;
-  core::detail::advance_batch_inplace<AgentBasedModel>(
-      states, to_day, buffer, first, count, sink, name(),
-      [engine](AgentBasedModel& m) { m.set_engine(engine); });
-}
-
-void AbmSimulator::resample_states(core::StatePool& states,
-                                   std::span<const std::uint32_t> ancestors,
-                                   std::uint64_t seed,
-                                   std::span<const std::uint64_t> streams,
-                                   std::span<const double> thetas) const {
-  if (ancestors.size() != streams.size() || ancestors.size() != thetas.size()) {
-    throw std::invalid_argument(
-        "resample_states: ancestors, streams and thetas must align");
-  }
-  const AbmEngine engine = config_.abm.engine;
-  core::detail::resample_states_inplace<AgentBasedModel>(
-      states, ancestors, seed, streams, thetas, name(),
-      [engine](AgentBasedModel& m) { m.set_engine(engine); });
-}
-
-}  // namespace epismc::abm
+}  // namespace epismc::core

@@ -16,54 +16,27 @@ struct AbmSimulatorConfig {
   std::int64_t initial_exposed = 50;
 };
 
-class AbmSimulator final : public core::Simulator {
+}  // namespace epismc::abm
+
+namespace epismc::core {
+extern template class ModelSimulator<abm::AgentBasedModel,
+                                     abm::AbmSimulatorConfig>;
+}  // namespace epismc::core
+
+namespace epismc::abm {
+
+/// Propagates under this simulator's configured day-step engine
+/// (AbmConfig::engine) regardless of which engine wrote a checkpoint. The
+/// typed pool holds full AgentBasedModel copies (agent arrays live,
+/// household topology built); agent arrays are large, so windows over big
+/// populations usually capture end states through the deferred-replay
+/// fallback (CapturePolicy::kAuto sizes this via the pool's
+/// approx_state_bytes()).
+class AbmSimulator final
+    : public core::ModelSimulator<AgentBasedModel, AbmSimulatorConfig> {
  public:
-  explicit AbmSimulator(AbmSimulatorConfig config) : config_(config) {
-    config_.abm.validate();
-  }
-
-  [[nodiscard]] epi::Checkpoint initial_state(std::int32_t day,
-                                              std::uint64_t seed) const override;
-  /// Propagates under this simulator's configured day-step engine
-  /// (AbmConfig::engine) regardless of which engine wrote the checkpoint --
-  /// restoring a reference-engine state into the fast engine is the
-  /// supported cross-engine A/B path.
-  [[nodiscard]] core::WindowRun run_window(const epi::Checkpoint& state,
-                                           double theta, std::uint64_t seed,
-                                           std::uint64_t stream,
-                                           std::int32_t to_day,
-                                           bool want_checkpoint) const override;
-  /// Typed pool of full AgentBasedModel copies. Agent arrays are large, so
-  /// windows over big populations usually capture end states through the
-  /// deferred-replay fallback (CapturePolicy::kAuto sizes this via the
-  /// pool's approx_state_bytes()); the pool type is the same either way.
-  [[nodiscard]] std::unique_ptr<core::StatePool> make_pool() const override;
-  /// Native fused batch engine: parent prototypes come straight out of the
-  /// typed pool (agent arrays live, household topology built), per-thread
-  /// scratch copies are branched per sim -- the dominant per-sim overhead
-  /// of the ABM restore path -- and the sink captures/scores in the same
-  /// sweep.
-  void run_batch(const core::StatePool& parents, std::int32_t to_day,
-                 core::EnsembleBuffer& buffer, std::size_t first,
-                 std::size_t count,
-                 const core::BatchSink& sink = {}) const override;
-  void run_batch(std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-                 core::EnsembleBuffer& buffer, std::size_t first,
-                 std::size_t count,
-                 std::span<epi::Checkpoint> end_states = {}) const override;
-  void advance_batch(core::StatePool& states, std::int32_t to_day,
-                     core::EnsembleBuffer& buffer, std::size_t first,
-                     std::size_t count,
-                     const core::BatchSink& sink = {}) const override;
-  void resample_states(core::StatePool& states,
-                       std::span<const std::uint32_t> ancestors,
-                       std::uint64_t seed,
-                       std::span<const std::uint64_t> streams,
-                       std::span<const double> thetas) const override;
+  using ModelSimulator::ModelSimulator;
   [[nodiscard]] std::string name() const override { return "agent-based"; }
-
- private:
-  AbmSimulatorConfig config_;
 };
 
 }  // namespace epismc::abm

@@ -1,10 +1,15 @@
 #pragma once
 
-// Shared fused batch-propagation engine for checkpointable model types.
+// Shared fused batch-propagation engine for checkpointable model types,
+// and the ModelSimulator members built on it.
 //
 // All three built-in backends implement the same restore / branch /
-// run_until_day / trajectory / make_checkpoint contract, so their native
-// run_batch overrides share this one kernel. Per buffer range it:
+// run_until_day / trajectory / make_checkpoint contract, so one class
+// template, ModelSimulator<Model, Config> (declared in core/simulator.hpp),
+// implements their Simulator overrides once on top of the kernels below.
+// Its members are defined at the end of this header and instantiated
+// explicitly once per model (core/simulator.cpp, abm/abm_simulator.cpp).
+// Per buffer range the run_batch kernel:
 //
 //   1. reads parent prototypes straight out of the typed ModelStatePool
 //      (no per-window checkpoint parsing -- the pool holds the previous
@@ -35,6 +40,7 @@
 #include "core/ensemble.hpp"
 #include "core/simulator.hpp"
 #include "core/state_pool.hpp"
+#include "epi/schedule.hpp"
 #include "epi/seir_model.hpp"
 #include "epi/trajectory.hpp"
 #include "parallel/parallel.hpp"
@@ -63,7 +69,7 @@ auto& typed_pool(Pool& pool, const std::string& backend, const char* role) {
 /// use to normalize per-model execution configuration that rides along in
 /// checkpoints (the ABM forces its configured day-step engine here, so
 /// cross-engine parent states are honored on the batch path exactly like
-/// AbmSimulator::run_window does per sim).
+/// ModelSimulator::run_window does per sim).
 template <typename Model, typename PrepareFn>
 void run_batch_fused(const StatePool& parents_erased, std::int32_t to_day,
                      EnsembleBuffer& buffer, std::size_t first,
@@ -113,55 +119,6 @@ void run_batch_fused(const StatePool& parents_erased, std::int32_t to_day,
     if (capture != nullptr) capture->set(s, m);
     if (sink.on_sim) sink.on_sim(s);
   });
-}
-
-template <typename Model>
-void run_batch_fused(const StatePool& parents_erased, std::int32_t to_day,
-                     EnsembleBuffer& buffer, std::size_t first,
-                     std::size_t count, const BatchSink& sink,
-                     const std::string& backend) {
-  run_batch_fused<Model>(parents_erased, to_day, buffer, first, count, sink,
-                         backend, [](Model&) {});
-}
-
-/// Checkpoint-span compatibility engine: pool the parents (one parse per
-/// parent, exactly the old prototype step), run the fused kernel, and
-/// serialize the capture pool back into `end_states`. Keeps the legacy
-/// run_batch overload byte-for-byte equivalent to its historical
-/// behaviour while sharing the single fused loop above.
-template <typename Model, typename PrepareFn>
-void run_batch_copying(std::span<const epi::Checkpoint> parents,
-                       std::int32_t to_day, EnsembleBuffer& buffer,
-                       std::size_t first, std::size_t count,
-                       std::span<epi::Checkpoint> end_states,
-                       const std::string& backend, PrepareFn&& prepare) {
-  ModelStatePool<Model> pool;
-  pool.resize(parents.size());
-  for (std::size_t p = 0; p < parents.size(); ++p) {
-    pool.set(p, Model::restore(parents[p]));
-  }
-
-  BatchSink sink;
-  ModelStatePool<Model> capture;
-  if (!end_states.empty()) {
-    capture.resize(first + count);
-    sink.capture = &capture;
-  }
-  run_batch_fused<Model>(pool, to_day, buffer, first, count, sink, backend,
-                         std::forward<PrepareFn>(prepare));
-  for (std::size_t i = 0; i < end_states.size(); ++i) {
-    end_states[i] = capture.to_checkpoint(first + i);
-  }
-}
-
-template <typename Model>
-void run_batch_copying(std::span<const epi::Checkpoint> parents,
-                       std::int32_t to_day, EnsembleBuffer& buffer,
-                       std::size_t first, std::size_t count,
-                       std::span<epi::Checkpoint> end_states,
-                       const std::string& backend) {
-  run_batch_copying<Model>(parents, to_day, buffer, first, count, end_states,
-                           backend, [](Model&) {});
 }
 
 /// In-place streaming advance: unlike run_batch_fused there is no
@@ -247,3 +204,81 @@ void resample_states_inplace(StatePool& states_erased,
 }
 
 }  // namespace epismc::core::detail
+
+namespace epismc::core {
+
+template <typename Model, typename Config>
+epi::Checkpoint ModelSimulator<Model, Config>::initial_state(
+    std::int32_t day, std::uint64_t seed) const {
+  Model model(model_config(), epi::PiecewiseSchedule(config_.burnin_theta),
+              seed, /*stream=*/0);
+  model.seed_exposed(config_.initial_exposed);
+  model.run_until_day(day);
+  return model.make_checkpoint();
+}
+
+template <typename Model, typename Config>
+WindowRun ModelSimulator<Model, Config>::run_window(
+    const epi::Checkpoint& state, double theta, std::uint64_t seed,
+    std::uint64_t stream, std::int32_t to_day, bool want_checkpoint) const {
+  epi::RestartOverrides ovr;
+  ovr.seed = seed;
+  ovr.stream = stream;
+  ovr.transmission_rate = theta;
+  Model model = Model::restore(state, ovr);
+  prepare(model);
+  const std::int32_t from_day = model.day() + 1;
+  if (to_day < from_day) {
+    throw std::invalid_argument("run_window: to_day before checkpoint day");
+  }
+  model.run_until_day(to_day);
+
+  WindowRun run;
+  run.true_cases = model.trajectory().new_infections(from_day, to_day);
+  run.deaths = model.trajectory().new_deaths(from_day, to_day);
+  if (want_checkpoint) run.end_state = model.make_checkpoint();
+  return run;
+}
+
+template <typename Model, typename Config>
+std::unique_ptr<StatePool> ModelSimulator<Model, Config>::make_pool() const {
+  return std::make_unique<ModelStatePool<Model>>();
+}
+
+template <typename Model, typename Config>
+void ModelSimulator<Model, Config>::run_batch(const StatePool& parents,
+                                              std::int32_t to_day,
+                                              EnsembleBuffer& buffer,
+                                              std::size_t first,
+                                              std::size_t count,
+                                              const BatchSink& sink) const {
+  validate_batch_args(parents, buffer, first, count, sink);
+  detail::run_batch_fused<Model>(parents, to_day, buffer, first, count, sink,
+                                 name(), [this](Model& m) { prepare(m); });
+}
+
+template <typename Model, typename Config>
+void ModelSimulator<Model, Config>::advance_batch(StatePool& states,
+                                                  std::int32_t to_day,
+                                                  EnsembleBuffer& buffer,
+                                                  std::size_t first,
+                                                  std::size_t count,
+                                                  const BatchSink& sink) const {
+  validate_batch_args(states, buffer, first, count, sink);
+  detail::advance_batch_inplace<Model>(states, to_day, buffer, first, count,
+                                       sink, name(),
+                                       [this](Model& m) { prepare(m); });
+}
+
+template <typename Model, typename Config>
+void ModelSimulator<Model, Config>::resample_states(
+    StatePool& states, std::span<const std::uint32_t> ancestors,
+    std::uint64_t seed, std::span<const std::uint64_t> streams,
+    std::span<const double> thetas) const {
+  validate_resample_args(ancestors, streams, thetas);
+  detail::resample_states_inplace<Model>(states, ancestors, seed, streams,
+                                         thetas, name(),
+                                         [this](Model& m) { prepare(m); });
+}
+
+}  // namespace epismc::core

@@ -11,48 +11,26 @@ namespace epismc::core {
 
 namespace {
 
-/// Extract the window output series [from_day, to_day] from a model
-/// trajectory after the run.
-template <typename Model>
-WindowRun extract_window(const Model& model, std::int32_t from_day,
-                         std::int32_t to_day, bool want_checkpoint) {
-  WindowRun run;
-  run.true_cases = model.trajectory().new_infections(from_day, to_day);
-  run.deaths = model.trajectory().new_deaths(from_day, to_day);
-  if (want_checkpoint) run.end_state = model.make_checkpoint();
-  return run;
+/// One run_window trajectory of sim `s`, branched from `parent` onto the
+/// sim's columns: stores its window rows and returns its end state (empty
+/// unless `want_checkpoint`).
+epi::Checkpoint run_window_into(const Simulator& sim,
+                                const epi::Checkpoint& parent,
+                                std::int32_t to_day, EnsembleBuffer& buffer,
+                                std::size_t s, bool want_checkpoint) {
+  WindowRun run = sim.run_window(parent, buffer.theta[s], buffer.seed[s],
+                                 buffer.stream[s], to_day, want_checkpoint);
+  buffer.store_tail(EnsembleBuffer::Series::kTrueCases, s, run.true_cases);
+  buffer.store_tail(EnsembleBuffer::Series::kDeaths, s, run.deaths);
+  return std::move(run.end_state);
 }
 
 }  // namespace
 
-void Simulator::validate_batch_args(
-    std::span<const epi::Checkpoint> parents, const EnsembleBuffer& buffer,
-    std::size_t first, std::size_t count,
-    std::span<const epi::Checkpoint> end_states) const {
-  if (first + count > buffer.size()) {
-    throw std::out_of_range("run_batch: sim range [" + std::to_string(first) +
-                            ", " + std::to_string(first + count) +
-                            ") exceeds the buffer (" +
-                            std::to_string(buffer.size()) + " sims)");
-  }
-  if (!end_states.empty() && end_states.size() != count) {
-    throw std::invalid_argument(
-        "run_batch: end_states must be empty or match the sim count");
-  }
-  for (std::size_t s = first; s < first + count; ++s) {
-    if (buffer.parent[s] >= parents.size()) {
-      throw std::out_of_range("run_batch: sim " + std::to_string(s) +
-                              " references parent " +
-                              std::to_string(buffer.parent[s]) + " of " +
-                              std::to_string(parents.size()));
-    }
-  }
-}
-
 void Simulator::validate_batch_args(const StatePool& parents,
                                     const EnsembleBuffer& buffer,
                                     std::size_t first, std::size_t count,
-                                    const BatchSink& sink) const {
+                                    const BatchSink& sink) {
   if (first + count > buffer.size()) {
     throw std::out_of_range("run_batch: sim range [" + std::to_string(first) +
                             ", " + std::to_string(first + count) +
@@ -74,6 +52,15 @@ void Simulator::validate_batch_args(const StatePool& parents,
   }
 }
 
+void Simulator::validate_resample_args(
+    std::span<const std::uint32_t> ancestors,
+    std::span<const std::uint64_t> streams, std::span<const double> thetas) {
+  if (ancestors.size() != streams.size() || ancestors.size() != thetas.size()) {
+    throw std::invalid_argument(
+        "resample_states: ancestors, streams and thetas must align");
+  }
+}
+
 std::unique_ptr<StatePool> Simulator::make_pool() const {
   return std::make_unique<CheckpointStatePool>();
 }
@@ -81,14 +68,9 @@ std::unique_ptr<StatePool> Simulator::make_pool() const {
 void Simulator::run_batch(const StatePool& parents, std::int32_t to_day,
                           EnsembleBuffer& buffer, std::size_t first,
                           std::size_t count, const BatchSink& sink) const {
-  // Generic bridge: convert the pool parents across the checkpoint io
-  // boundary (once per referenced parent) and dispatch through the
-  // *virtual* checkpoint-span run_batch, so a custom simulator's native
-  // span batch engine keeps being honored on the pool-driven hot path;
-  // simulators with neither override fall through to the per-sim
-  // run_window reference loop. Capture and the fused hook are applied
-  // after the span batch returns -- same per-sim values, one extra sweep,
-  // only on this compatibility path.
+  // Generic run_window adapter: each referenced parent crosses the
+  // checkpoint io boundary once, then one sweep runs, captures and scores
+  // every sim.
   validate_batch_args(parents, buffer, first, count, sink);
   std::vector<epi::Checkpoint> parent_ckpts(parents.size());
   std::vector<char> referenced(parents.size(), 0);
@@ -99,46 +81,47 @@ void Simulator::run_batch(const StatePool& parents, std::int32_t to_day,
     if (referenced[p]) parent_ckpts[p] = parents.to_checkpoint(p);
   }
 
-  std::vector<epi::Checkpoint> end_states(
-      sink.capture != nullptr ? count : 0);
-  run_batch(parent_ckpts, to_day, buffer, first, count, end_states);
-  if (sink.capture != nullptr) {
-    parallel::parallel_for(count, [&](std::size_t i) {
-      sink.capture->set_from_checkpoint(first + i, end_states[i]);
-    });
-  }
-  if (sink.on_sim) {
-    parallel::parallel_for(count, [&](std::size_t i) { sink.on_sim(first + i); });
-  }
+  parallel::parallel_for(count, [&](std::size_t i) {
+    const std::size_t s = first + i;
+    const epi::Checkpoint end =
+        run_window_into(*this, parent_ckpts[buffer.parent[s]], to_day, buffer,
+                        s, sink.capture != nullptr);
+    if (sink.capture != nullptr) sink.capture->set_from_checkpoint(s, end);
+    if (sink.on_sim) sink.on_sim(s);
+  });
 }
 
 void Simulator::run_batch(std::span<const epi::Checkpoint> parents,
                           std::int32_t to_day, EnsembleBuffer& buffer,
                           std::size_t first, std::size_t count,
                           std::span<epi::Checkpoint> end_states) const {
-  // Per-sim reference path: one run_window per trajectory. Exactly the
-  // pre-batching particle loop, so simulators that only implement
-  // run_window behave as they always have.
-  validate_batch_args(parents, buffer, first, count, end_states);
-  parallel::parallel_for(count, [&](std::size_t i) {
-    const std::size_t s = first + i;
-    WindowRun run =
-        run_window(parents[buffer.parent[s]], buffer.theta[s], buffer.seed[s],
-                   buffer.stream[s], to_day, !end_states.empty());
-    buffer.store_tail(EnsembleBuffer::Series::kTrueCases, s, run.true_cases);
-    buffer.store_tail(EnsembleBuffer::Series::kDeaths, s, run.deaths);
-    if (!end_states.empty()) end_states[i] = std::move(run.end_state);
-  });
+  if (!end_states.empty() && end_states.size() != count) {
+    throw std::invalid_argument(
+        "run_batch: end_states must be empty or match the sim count");
+  }
+  const std::unique_ptr<StatePool> pool = make_pool();
+  for (const epi::Checkpoint& parent : parents) pool->append_checkpoint(parent);
+  BatchSink sink;
+  std::unique_ptr<StatePool> capture;
+  if (!end_states.empty()) {
+    capture = make_pool();
+    capture->resize(first + count);
+    sink.capture = capture.get();
+  }
+  run_batch(*pool, to_day, buffer, first, count, sink);
+  for (std::size_t i = 0; i < end_states.size(); ++i) {
+    end_states[i] = capture->to_checkpoint(first + i);
+  }
 }
 
 void Simulator::advance_batch(StatePool& states, std::int32_t to_day,
                               EnsembleBuffer& buffer, std::size_t first,
                               std::size_t count, const BatchSink& sink) const {
-  // io-boundary bridge: serialize the live slots, branch-and-run through
-  // the virtual span run_batch (each call consumes the buffer's fresh
-  // per-day streams, so this path is distribution-correct rather than
-  // bit-identical to a single long run), then write the advanced states
-  // back into the pool.
+  // run_window adapter: each slot is serialized, re-branched onto the
+  // buffer's fresh per-day (seed, stream) columns -- distribution-correct
+  // rather than bit-identical to a single long run -- and written back, in
+  // the same sweep that captures and scores it. Every slot is checked
+  // first, so a bad argument leaves the pool untouched.
   validate_batch_args(states, buffer, first, count, sink);
   for (std::size_t s = first; s < first + count; ++s) {
     if (buffer.parent[s] != s) {
@@ -147,24 +130,21 @@ void Simulator::advance_batch(StatePool& states, std::int32_t to_day,
           "(parent[s] == s), sim " + std::to_string(s) + " references " +
           std::to_string(buffer.parent[s]));
     }
+    if (to_day <= states.day(s)) {
+      throw std::invalid_argument(
+          "advance_batch: slot " + std::to_string(s) + " already sits at day " +
+          std::to_string(states.day(s)) + ", cannot advance to day " +
+          std::to_string(to_day));
+    }
   }
-  std::vector<epi::Checkpoint> parent_ckpts(first + count);
-  for (std::size_t s = first; s < first + count; ++s) {
-    parent_ckpts[s] = states.to_checkpoint(s);
-  }
-  std::vector<epi::Checkpoint> end_states(count);
-  run_batch(parent_ckpts, to_day, buffer, first, count, end_states);
   parallel::parallel_for(count, [&](std::size_t i) {
-    states.set_from_checkpoint(first + i, end_states[i]);
+    const std::size_t s = first + i;
+    const epi::Checkpoint end = run_window_into(
+        *this, states.to_checkpoint(s), to_day, buffer, s, true);
+    states.set_from_checkpoint(s, end);
+    if (sink.capture != nullptr) sink.capture->set_from_checkpoint(s, end);
+    if (sink.on_sim) sink.on_sim(s);
   });
-  if (sink.capture != nullptr) {
-    parallel::parallel_for(count, [&](std::size_t i) {
-      sink.capture->set_from_checkpoint(first + i, end_states[i]);
-    });
-  }
-  if (sink.on_sim) {
-    parallel::parallel_for(count, [&](std::size_t i) { sink.on_sim(first + i); });
-  }
 }
 
 void Simulator::resample_states(StatePool& states,
@@ -172,158 +152,14 @@ void Simulator::resample_states(StatePool& states,
                                 std::uint64_t /*seed*/,
                                 std::span<const std::uint64_t> streams,
                                 std::span<const double> thetas) const {
-  if (ancestors.size() != streams.size() || ancestors.size() != thetas.size()) {
-    throw std::invalid_argument(
-        "resample_states: ancestors, streams and thetas must align");
-  }
+  validate_resample_args(ancestors, streams, thetas);
   // Gather only: the default advance_batch re-branches each call from the
   // buffer's per-day (seed, stream, theta) columns, which is where the
   // duplicated copies diverge.
   states.gather(ancestors);
 }
 
-epi::Checkpoint SeirSimulator::initial_state(std::int32_t day,
-                                             std::uint64_t seed) const {
-  epi::SeirModel model(config_.params,
-                       epi::PiecewiseSchedule(config_.burnin_theta), seed,
-                       /*stream=*/0);
-  model.seed_exposed(config_.initial_exposed);
-  model.run_until_day(day);
-  return model.make_checkpoint();
-}
-
-WindowRun SeirSimulator::run_window(const epi::Checkpoint& state, double theta,
-                                    std::uint64_t seed, std::uint64_t stream,
-                                    std::int32_t to_day,
-                                    bool want_checkpoint) const {
-  epi::RestartOverrides ovr;
-  ovr.seed = seed;
-  ovr.stream = stream;
-  ovr.transmission_rate = theta;
-  epi::SeirModel model = epi::SeirModel::restore(state, ovr);
-  const std::int32_t from_day = model.day() + 1;
-  if (to_day < from_day) {
-    throw std::invalid_argument("run_window: to_day before checkpoint day");
-  }
-  model.run_until_day(to_day);
-  return extract_window(model, from_day, to_day, want_checkpoint);
-}
-
-std::unique_ptr<StatePool> SeirSimulator::make_pool() const {
-  return std::make_unique<ModelStatePool<epi::SeirModel>>();
-}
-
-void SeirSimulator::run_batch(const StatePool& parents, std::int32_t to_day,
-                              EnsembleBuffer& buffer, std::size_t first,
-                              std::size_t count, const BatchSink& sink) const {
-  validate_batch_args(parents, buffer, first, count, sink);
-  detail::run_batch_fused<epi::SeirModel>(parents, to_day, buffer, first,
-                                          count, sink, name());
-}
-
-void SeirSimulator::run_batch(std::span<const epi::Checkpoint> parents,
-                              std::int32_t to_day, EnsembleBuffer& buffer,
-                              std::size_t first, std::size_t count,
-                              std::span<epi::Checkpoint> end_states) const {
-  validate_batch_args(parents, buffer, first, count, end_states);
-  detail::run_batch_copying<epi::SeirModel>(parents, to_day, buffer, first,
-                                            count, end_states, name());
-}
-
-void SeirSimulator::advance_batch(StatePool& states, std::int32_t to_day,
-                                  EnsembleBuffer& buffer, std::size_t first,
-                                  std::size_t count,
-                                  const BatchSink& sink) const {
-  detail::advance_batch_inplace<epi::SeirModel>(
-      states, to_day, buffer, first, count, sink, name(),
-      [](epi::SeirModel&) {});
-}
-
-void SeirSimulator::resample_states(StatePool& states,
-                                    std::span<const std::uint32_t> ancestors,
-                                    std::uint64_t seed,
-                                    std::span<const std::uint64_t> streams,
-                                    std::span<const double> thetas) const {
-  if (ancestors.size() != streams.size() || ancestors.size() != thetas.size()) {
-    throw std::invalid_argument(
-        "resample_states: ancestors, streams and thetas must align");
-  }
-  detail::resample_states_inplace<epi::SeirModel>(
-      states, ancestors, seed, streams, thetas, name(), [](epi::SeirModel&) {});
-}
-
-epi::Checkpoint ChainBinomialSimulator::initial_state(std::int32_t day,
-                                                      std::uint64_t seed) const {
-  epi::ChainBinomialModel model(config_.params,
-                                epi::PiecewiseSchedule(config_.burnin_theta),
-                                seed, /*stream=*/0);
-  model.seed_exposed(config_.initial_exposed);
-  model.run_until_day(day);
-  return model.make_checkpoint();
-}
-
-WindowRun ChainBinomialSimulator::run_window(const epi::Checkpoint& state,
-                                             double theta, std::uint64_t seed,
-                                             std::uint64_t stream,
-                                             std::int32_t to_day,
-                                             bool want_checkpoint) const {
-  epi::RestartOverrides ovr;
-  ovr.seed = seed;
-  ovr.stream = stream;
-  ovr.transmission_rate = theta;
-  epi::ChainBinomialModel model = epi::ChainBinomialModel::restore(state, ovr);
-  const std::int32_t from_day = model.day() + 1;
-  if (to_day < from_day) {
-    throw std::invalid_argument("run_window: to_day before checkpoint day");
-  }
-  model.run_until_day(to_day);
-  return extract_window(model, from_day, to_day, want_checkpoint);
-}
-
-std::unique_ptr<StatePool> ChainBinomialSimulator::make_pool() const {
-  return std::make_unique<ModelStatePool<epi::ChainBinomialModel>>();
-}
-
-void ChainBinomialSimulator::run_batch(const StatePool& parents,
-                                       std::int32_t to_day,
-                                       EnsembleBuffer& buffer,
-                                       std::size_t first, std::size_t count,
-                                       const BatchSink& sink) const {
-  validate_batch_args(parents, buffer, first, count, sink);
-  detail::run_batch_fused<epi::ChainBinomialModel>(parents, to_day, buffer,
-                                                   first, count, sink, name());
-}
-
-void ChainBinomialSimulator::run_batch(
-    std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-    EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-    std::span<epi::Checkpoint> end_states) const {
-  validate_batch_args(parents, buffer, first, count, end_states);
-  detail::run_batch_copying<epi::ChainBinomialModel>(
-      parents, to_day, buffer, first, count, end_states, name());
-}
-
-void ChainBinomialSimulator::advance_batch(StatePool& states,
-                                           std::int32_t to_day,
-                                           EnsembleBuffer& buffer,
-                                           std::size_t first, std::size_t count,
-                                           const BatchSink& sink) const {
-  detail::advance_batch_inplace<epi::ChainBinomialModel>(
-      states, to_day, buffer, first, count, sink, name(),
-      [](epi::ChainBinomialModel&) {});
-}
-
-void ChainBinomialSimulator::resample_states(
-    StatePool& states, std::span<const std::uint32_t> ancestors,
-    std::uint64_t seed, std::span<const std::uint64_t> streams,
-    std::span<const double> thetas) const {
-  if (ancestors.size() != streams.size() || ancestors.size() != thetas.size()) {
-    throw std::invalid_argument(
-        "resample_states: ancestors, streams and thetas must align");
-  }
-  detail::resample_states_inplace<epi::ChainBinomialModel>(
-      states, ancestors, seed, streams, thetas, name(),
-      [](epi::ChainBinomialModel&) {});
-}
+template class ModelSimulator<epi::SeirModel, EpiSimulatorConfig>;
+template class ModelSimulator<epi::ChainBinomialModel, EpiSimulatorConfig>;
 
 }  // namespace epismc::core

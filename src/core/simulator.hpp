@@ -20,16 +20,19 @@
 // window into the same sweep: end states are captured into a typed pool
 // and a per-sim hook (bias + likelihood in the importance sampler) runs as
 // soon as a row is filled, so the ensemble is swept once. The base class
-// bridges everything through run_window and epi::Checkpoint conversion, so
-// a custom registry simulator only has to implement run_window; built-in
-// backends override make_pool/run_batch with engines that copy-and-branch
-// pooled prototype models with zero (de)serialization.
+// runs the pool entry points as one per-sim run_window loop over
+// epi::Checkpoint parents, so a custom registry simulator only has to
+// implement run_window. The built-in backends are ModelSimulator
+// instances, whose engines copy-and-branch pooled prototype models with
+// zero (de)serialization. The checkpoint-span run_batch is a bridge onto
+// the pool overload.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ensemble.hpp"
@@ -97,21 +100,22 @@ class Simulator {
   ///
   /// Parallel inside (pool over the range); results are independent of
   /// the thread count because every trajectory's randomness is addressed
-  /// by its (seed, stream) columns. The default implementation converts
-  /// the parents across the pool's checkpoint io boundary (once per
-  /// referenced parent) and dispatches through the virtual checkpoint-span
-  /// overload below -- so custom registry simulators work unchanged,
-  /// including any native span batch engine they implemented; built-in
-  /// backends override this overload with fused engines that
-  /// copy-and-branch typed pool prototypes.
+  /// by its (seed, stream) columns. The default implementation is the
+  /// generic adapter for simulators that implement only run_window: each
+  /// referenced parent crosses the pool's checkpoint io boundary once,
+  /// then one parallel sweep runs run_window per sim, stores its rows,
+  /// captures its end state and calls the sink's hook. This is the one
+  /// override for native batching; built-in backends replace it with
+  /// fused engines that copy-and-branch typed pool prototypes.
   virtual void run_batch(const StatePool& parents, std::int32_t to_day,
                          EnsembleBuffer& buffer, std::size_t first,
                          std::size_t count, const BatchSink& sink = {}) const;
 
-  /// Checkpoint-span compatibility overload: parents arrive as portable
-  /// byte blobs (the io boundary) and end states leave the same way.
-  /// Equivalent to pooling the parents and serializing the capture pool;
-  /// the pool-based overload above is the hot path.
+  /// Checkpoint-span bridge: parents arrive as portable byte blobs (the io
+  /// boundary) and end states leave the same way. Pools the parents with
+  /// make_pool(), runs the pool overload above with a capture pool and
+  /// serializes the captured states into `end_states` (empty, or sized
+  /// `count`). Overriding it does not change what the pool overload runs.
   virtual void run_batch(std::span<const epi::Checkpoint> parents,
                          std::int32_t to_day, EnsembleBuffer& buffer,
                          std::size_t first, std::size_t count,
@@ -125,11 +129,12 @@ class Simulator {
   /// bit-identical to one run_batch over the union of the days. Every
   /// buffer parent column must reference the slot itself (parent[s] == s).
   ///
-  /// The default implementation round-trips the slots across the
-  /// checkpoint io boundary and re-branches through the span run_batch
-  /// using the buffer's (seed, stream) columns -- distribution-correct for
-  /// custom registry backends (each call consumes a fresh per-day stream),
-  /// but only the typed overrides carry the bit-equality guarantee.
+  /// The default implementation is the run_window adapter: one sweep
+  /// serializes each slot, re-branches it through run_window onto the
+  /// buffer's (seed, stream) columns and writes the end state back --
+  /// distribution-correct for custom registry backends (each call consumes
+  /// a fresh per-day stream), but only the typed overrides carry the
+  /// bit-equality guarantee.
   virtual void advance_batch(StatePool& states, std::int32_t to_day,
                              EnsembleBuffer& buffer, std::size_t first,
                              std::size_t count,
@@ -151,20 +156,21 @@ class Simulator {
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
-  /// Throws unless the run_batch arguments are coherent: range within the
-  /// buffer, parent columns within `parents`, end_states sized `count`.
-  /// Backends call this before entering their parallel region so argument
-  /// bugs surface as exceptions, not as racy out-of-bounds writes.
-  void validate_batch_args(std::span<const epi::Checkpoint> parents,
-                           const EnsembleBuffer& buffer, std::size_t first,
-                           std::size_t count,
-                           std::span<const epi::Checkpoint> end_states) const;
+  /// Throws unless the run_batch / advance_batch arguments are coherent:
+  /// range within the buffer, parent columns within `parents` (the state
+  /// pool itself for advance_batch), capture pool (when present) spanning
+  /// the range. Backends call this before entering their parallel region
+  /// so argument bugs surface as exceptions, not as racy out-of-bounds
+  /// writes or half-advanced pools.
+  static void validate_batch_args(const StatePool& parents,
+                                  const EnsembleBuffer& buffer,
+                                  std::size_t first, std::size_t count,
+                                  const BatchSink& sink);
 
-  /// Pool-flavoured variant: parent slots within the pool, capture pool
-  /// (when present) spanning the propagated range.
-  void validate_batch_args(const StatePool& parents,
-                           const EnsembleBuffer& buffer, std::size_t first,
-                           std::size_t count, const BatchSink& sink) const;
+  /// Throws unless resample_states' per-particle spans align.
+  static void validate_resample_args(std::span<const std::uint32_t> ancestors,
+                                     std::span<const std::uint64_t> streams,
+                                     std::span<const double> thetas);
 };
 
 /// Adapter pinning run_batch to the base-class per-sim reference
@@ -207,11 +213,19 @@ struct EpiSimulatorConfig {
   std::int64_t initial_exposed = 400; // seeding at day 0
 };
 
-/// Simulator backed by the event-driven SeirModel.
-class SeirSimulator final : public Simulator {
+/// The built-in backends: one Simulator over a checkpointable model type
+/// (restore / branch / run_until_day / trajectory / make_checkpoint).
+/// Every override runs the shared fused kernels of core/batch_runner.hpp,
+/// which defines the members; each model is instantiated explicitly once
+/// (simulator.cpp, abm/abm_simulator.cpp). Config is EpiSimulatorConfig or
+/// abm::AbmSimulatorConfig: the model is built from its `params` or `abm`
+/// field, plus `burnin_theta` and `initial_exposed`. Subclasses supply
+/// name() only.
+template <typename Model, typename Config>
+class ModelSimulator : public Simulator {
  public:
-  explicit SeirSimulator(EpiSimulatorConfig config) : config_(config) {
-    config_.params.validate();
+  explicit ModelSimulator(Config config) : config_(std::move(config)) {
+    model_config().validate();
   }
 
   [[nodiscard]] epi::Checkpoint initial_state(std::int32_t day,
@@ -220,13 +234,14 @@ class SeirSimulator final : public Simulator {
                                      std::uint64_t seed, std::uint64_t stream,
                                      std::int32_t to_day,
                                      bool want_checkpoint) const override;
+  /// Typed ModelStatePool<Model>: slots hold live model copies.
   [[nodiscard]] std::unique_ptr<StatePool> make_pool() const override;
+  /// Fused engine: copy-and-branch typed parent prototypes per sim, and
+  /// capture and score through the sink in the same sweep.
   void run_batch(const StatePool& parents, std::int32_t to_day,
                  EnsembleBuffer& buffer, std::size_t first, std::size_t count,
                  const BatchSink& sink = {}) const override;
-  void run_batch(std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 std::span<epi::Checkpoint> end_states = {}) const override;
+  using Simulator::run_batch;  // the checkpoint-span bridge
   void advance_batch(StatePool& states, std::int32_t to_day,
                      EnsembleBuffer& buffer, std::size_t first,
                      std::size_t count,
@@ -236,45 +251,48 @@ class SeirSimulator final : public Simulator {
                        std::uint64_t seed,
                        std::span<const std::uint64_t> streams,
                        std::span<const double> thetas) const override;
-  [[nodiscard]] std::string name() const override { return "seir-event"; }
 
  private:
-  EpiSimulatorConfig config_;
+  [[nodiscard]] const auto& model_config() const {
+    if constexpr (requires { config_.abm; }) {
+      return config_.abm;
+    } else {
+      return config_.params;
+    }
+  }
+
+  /// Runs on every model right before it propagates. The ABM forces the
+  /// configured day-step engine (AbmConfig::engine) over the one its
+  /// checkpoint carries -- restoring a reference-engine state into the
+  /// fast engine is the supported cross-engine A/B path; a no-op when they
+  /// agree and for the compartmental models.
+  void prepare(Model& model) const {
+    if constexpr (requires { config_.abm.engine; }) {
+      model.set_engine(config_.abm.engine);
+    }
+  }
+
+  Config config_;
+};
+
+extern template class ModelSimulator<epi::SeirModel, EpiSimulatorConfig>;
+extern template class ModelSimulator<epi::ChainBinomialModel,
+                                     EpiSimulatorConfig>;
+
+/// Simulator backed by the event-driven SeirModel.
+class SeirSimulator final
+    : public ModelSimulator<epi::SeirModel, EpiSimulatorConfig> {
+ public:
+  using ModelSimulator::ModelSimulator;
+  [[nodiscard]] std::string name() const override { return "seir-event"; }
 };
 
 /// Simulator backed by the memoryless chain-binomial baseline.
-class ChainBinomialSimulator final : public Simulator {
+class ChainBinomialSimulator final
+    : public ModelSimulator<epi::ChainBinomialModel, EpiSimulatorConfig> {
  public:
-  explicit ChainBinomialSimulator(EpiSimulatorConfig config) : config_(config) {
-    config_.params.validate();
-  }
-
-  [[nodiscard]] epi::Checkpoint initial_state(std::int32_t day,
-                                              std::uint64_t seed) const override;
-  [[nodiscard]] WindowRun run_window(const epi::Checkpoint& state, double theta,
-                                     std::uint64_t seed, std::uint64_t stream,
-                                     std::int32_t to_day,
-                                     bool want_checkpoint) const override;
-  [[nodiscard]] std::unique_ptr<StatePool> make_pool() const override;
-  void run_batch(const StatePool& parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 const BatchSink& sink = {}) const override;
-  void run_batch(std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 std::span<epi::Checkpoint> end_states = {}) const override;
-  void advance_batch(StatePool& states, std::int32_t to_day,
-                     EnsembleBuffer& buffer, std::size_t first,
-                     std::size_t count,
-                     const BatchSink& sink = {}) const override;
-  void resample_states(StatePool& states,
-                       std::span<const std::uint32_t> ancestors,
-                       std::uint64_t seed,
-                       std::span<const std::uint64_t> streams,
-                       std::span<const double> thetas) const override;
+  using ModelSimulator::ModelSimulator;
   [[nodiscard]] std::string name() const override { return "chain-binomial"; }
-
- private:
-  EpiSimulatorConfig config_;
 };
 
 }  // namespace epismc::core

@@ -10,8 +10,9 @@
 // RNG coordinates), copy-assigned slot by slot so buffer capacity is
 // reused and nothing is byte-encoded. Byte serialization survives only at
 // the io boundary: `to_checkpoint` / `set_from_checkpoint` convert a slot
-// to and from the portable epi::Checkpoint format for on-disk save/load
-// and for simulators that only speak the run_window contract.
+// to and from the portable epi::Checkpoint format for on-disk save/load,
+// for the checkpoint-span run_batch bridge, and for the generic adapter
+// that runs simulators speaking only the run_window contract.
 //
 // Pools are produced by Simulator::make_pool(), filled by the fused batch
 // kernel (inline end-state capture during the weighted pass, or the
@@ -237,7 +238,8 @@ class ModelStatePool final : public StatePool {
 /// Byte-blob fallback pool for simulators outside the typed contract: each
 /// slot is a stored epi::Checkpoint, so custom registry simulators keep
 /// exactly their historical behaviour (run_window in, checkpoint out) while
-/// speaking the same pool interface as the typed backends.
+/// speaking the same pool interface as the typed backends. It is the only
+/// pool a run_window-only simulator has.
 class CheckpointStatePool final : public StatePool {
  public:
   [[nodiscard]] std::size_t size() const noexcept override;

@@ -224,6 +224,54 @@ TEST_P(EnsembleBackend, BufferContentsThreadCountInvariant) {
   }
 }
 
+// The checkpoint-span overload bridges onto the pool overload: same rows,
+// and its end states are the capture pool's slots serialized.
+TEST_P(EnsembleBackend, SpanOverloadMatchesPoolCapture) {
+  const BackendCase bc = GetParam();
+  api::SimulatorSpec sim_spec;
+  sim_spec.params.population = bc.population;
+  sim_spec.initial_exposed = bc.population / 200;
+  const auto sim = api::simulators().create(bc.name, sim_spec);
+  const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7),
+                                                sim->initial_state(19, 8)};
+
+  EnsembleBuffer span_buf(bc.n_params, 14);
+  for (std::size_t s = 0; s < span_buf.size(); ++s) {
+    span_buf.parent[s] = static_cast<std::uint32_t>(s % 2);
+    span_buf.theta[s] = 0.15 + 0.01 * static_cast<double>(s % 20);
+    span_buf.seed[s] = 7;
+    span_buf.stream[s] = 1000 + s;
+  }
+  EnsembleBuffer pool_buf = span_buf;
+  const std::size_t first = 2;
+  const std::size_t count = span_buf.size() - first;
+
+  std::vector<epi::Checkpoint> end_states(count);
+  sim->run_batch(parents, 33, span_buf, first, count, end_states);
+
+  const auto pool = sim->make_pool();
+  for (const epi::Checkpoint& p : parents) pool->append_checkpoint(p);
+  const auto capture = sim->make_pool();
+  capture->resize(first + count);
+  BatchSink sink;
+  sink.capture = capture.get();
+  sim->run_batch(*pool, 33, pool_buf, first, count, sink);
+
+  for (std::size_t s = first; s < first + count; ++s) {
+    const auto ta = span_buf.true_cases(s);
+    const auto tb = pool_buf.true_cases(s);
+    ASSERT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end()))
+        << "sim " << s;
+    const auto da = span_buf.deaths(s);
+    const auto db = pool_buf.deaths(s);
+    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
+        << "sim " << s;
+    const epi::Checkpoint captured = capture->to_checkpoint(s);
+    EXPECT_EQ(end_states[s - first].day, captured.day) << "sim " << s;
+    EXPECT_EQ(end_states[s - first].bytes, captured.bytes) << "sim " << s;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Common random numbers across the batch boundary.
 // ---------------------------------------------------------------------------

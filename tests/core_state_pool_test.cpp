@@ -400,4 +400,63 @@ TEST(StatePoolTest, CheckpointPoolBridgesRunWindowOnlySimulators) {
             hash_states(*from_custom.state_pool));
 }
 
+// Runs `check` on every advance_batch path: the three typed backends and
+// the run_window adapter. `states` holds four slots at days `days`, and the
+// buffer advances each slot in place.
+template <typename Check>
+void for_each_advance_path(const std::vector<std::int32_t>& days,
+                           Check&& check) {
+  EpiSimulatorConfig cfg;
+  cfg.params.population = 50000;
+  cfg.initial_exposed = 100;
+  const SeirSimulator seir(cfg);
+  const ChainBinomialSimulator chain(cfg);
+  api::SimulatorSpec abm_spec;
+  abm_spec.params.population = 4000;
+  abm_spec.initial_exposed = 20;
+  const auto abm = api::simulators().create("abm", abm_spec);
+  const RunWindowOnlySimulator custom(seir);
+
+  const Simulator* const sims[] = {&seir, &chain, abm.get(), &custom};
+  for (const Simulator* sim : sims) {
+    SCOPED_TRACE(sim->name());
+    const auto states = sim->make_pool();
+    EnsembleBuffer buf(days.size(), 3);
+    for (std::size_t s = 0; s < days.size(); ++s) {
+      states->append_checkpoint(sim->initial_state(days[s], 7));
+      buf.parent[s] = static_cast<std::uint32_t>(s);
+      buf.theta[s] = 0.3;
+      buf.seed[s] = 7;
+      buf.stream[s] = 100 + s;
+    }
+    check(*sim, *states, buf);
+  }
+}
+
+// advance_batch checks the capture pool before it touches a slot.
+TEST(StatePoolTest, AdvanceBatchCaptureMustSpanTheRange) {
+  for_each_advance_path({19, 19, 19, 19}, [](const Simulator& sim,
+                                             StatePool& states,
+                                             EnsembleBuffer& buf) {
+    const auto capture = sim.make_pool();
+    capture->resize(2);  // too small for sims [0, 4)
+    BatchSink sink;
+    sink.capture = capture.get();
+    EXPECT_THROW(sim.advance_batch(states, 22, buf, 0, 4, sink),
+                 std::invalid_argument);
+    for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(states.day(s), 19);
+  });
+}
+
+// A slot that already sits at the target day fails the call before any
+// other slot moves.
+TEST(StatePoolTest, AdvanceBatchStaleSlotLeavesThePoolUntouched) {
+  for_each_advance_path({19, 19, 19, 22}, [](const Simulator& sim,
+                                             StatePool& states,
+                                             EnsembleBuffer& buf) {
+    EXPECT_THROW(sim.advance_batch(states, 22, buf, 0, 4), std::logic_error);
+    for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(states.day(s), 19);
+  });
+}
+
 }  // namespace

@@ -267,6 +267,103 @@ TEST(StreamingCalibrator, MidWindowResampleMomentEquivalence) {
       << ", stderr " << stderr_mean;
 }
 
+// --- The base-class run_window adapter under streaming. --------------------
+
+// A registry simulator that implements only run_window: it streams on the
+// byte-blob CheckpointStatePool through the base-class run_batch,
+// advance_batch and resample_states.
+class RunWindowOnlySimulator final : public Simulator {
+ public:
+  explicit RunWindowOnlySimulator(const Simulator& inner) : inner_(inner) {}
+  [[nodiscard]] epi::Checkpoint initial_state(
+      std::int32_t day, std::uint64_t seed) const override {
+    return inner_.initial_state(day, seed);
+  }
+  [[nodiscard]] WindowRun run_window(const epi::Checkpoint& state, double theta,
+                                     std::uint64_t seed, std::uint64_t stream,
+                                     std::int32_t to_day,
+                                     bool want_checkpoint) const override {
+    return inner_.run_window(state, theta, seed, stream, to_day,
+                             want_checkpoint);
+  }
+  [[nodiscard]] std::string name() const override { return "custom"; }
+
+ private:
+  const Simulator& inner_;
+};
+
+// FNV-1a over the window's log weights, weights, resampled indices and
+// end-state bytes.
+std::uint64_t window_digest(const WindowResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  };
+  mix(r.ensemble.log_weight.data(), r.ensemble.log_weight.size() * 8);
+  mix(r.weights.data(), r.weights.size() * 8);
+  mix(r.resampled.data(), r.resampled.size() * sizeof(r.resampled[0]));
+  for (std::size_t u = 0; u < r.state_pool->size(); ++u) {
+    const epi::Checkpoint c = r.state_pool->to_checkpoint(u);
+    mix(&c.day, sizeof c.day);
+    mix(c.bytes.data(), c.bytes.size());
+  }
+  return h;
+}
+
+TEST(StreamingCalibrator, RunWindowAdapterStreamsThroughMidWindowResample) {
+  const epismc::simd::ScopedLevel simd_pin(epismc::simd::SimdLevel::kScalar);
+  const ScenarioConfig scenario = test_scenario();
+  const SeirSimulator native({scenario.params, 0.3, scenario.initial_exposed});
+  const RunWindowOnlySimulator custom(native);
+  const PerSimReference reference(native);
+
+  StreamConfig cfg;
+  cfg.calibration = small_config();
+  cfg.calibration.windows = {{20, 33}};
+  cfg.calibration.inference = InferenceStrategy::kTempered;
+  cfg.calibration.ess_threshold = 0.9;  // force mid-window resamples
+
+  // The first day copy-branches from the shared parent in every path, so
+  // its log-weight terms match the native typed engine bit for bit. They
+  // are read with resampling off: a resample resets them.
+  StreamConfig probe = cfg;
+  probe.resample_mid_window = false;
+  const auto first_day_terms = [&probe](const Simulator& sim) {
+    StreamingCalibrator cal(sim, probe);
+    feed_days(cal, 20, 20);
+    return cal.snapshot().case_acc;
+  };
+  const std::vector<double> native_terms = first_day_terms(native);
+  expect_doubles_bitwise(native_terms, first_day_terms(custom),
+                         "run_window-only first-day log weights");
+  expect_doubles_bitwise(native_terms, first_day_terms(reference),
+                         "PerSimReference first-day log weights");
+
+  // Later days re-branch onto fresh per-day streams (distribution-correct,
+  // not bit-equal to the typed engine); the whole window is pinned.
+  const auto stream_window = [&cfg](const Simulator& sim, int lanes) {
+    parallel::set_threads(lanes);
+    StreamingCalibrator cal(sim, cfg);
+    feed_days(cal, 20, 33);
+    EXPECT_TRUE(cal.finished());
+    std::size_t resamples = 0;
+    for (const StreamDayRecord& d : cal.day_records()) {
+      resamples += d.resampled ? 1 : 0;
+    }
+    EXPECT_GE(resamples, 1u) << "threshold did not force a resample";
+    return window_digest(cal.results().at(0));
+  };
+  const int lanes = parallel::TaskPool::instance().lanes();
+  constexpr std::uint64_t kPinnedDigest = 0x15b8b7bbed4698d9ull;
+  const Simulator* const adapters[] = {&custom, &reference};
+  for (const Simulator* sim : adapters) {
+    EXPECT_EQ(stream_window(*sim, 1), kPinnedDigest) << std::hex << "1 lane";
+    EXPECT_EQ(stream_window(*sim, 4), kPinnedDigest) << std::hex << "4 lanes";
+  }
+  parallel::set_threads(lanes);
+}
+
 // --- Checkpoint / resume. ---------------------------------------------------
 
 TEST(StreamingCalibrator, CheckpointResumeBitExact) {
