@@ -1,7 +1,7 @@
 // End-to-end calibration benchmark for the single-pass window: the fused
-// path (inline end-state capture, CapturePolicy::kInline) against the
-// legacy two-pass path (deferred survivor replay,
-// CapturePolicy::kDeferredReplay), over the paper's four sequential
+// path (inline end-state capture, forced by an unlimited
+// inline_state_budget) against the legacy two-pass path (survivor replay,
+// forced by a budget of one byte), over the paper's four sequential
 // calibration windows, for all three backends at 1/4/8 threads. Emits
 // machine-readable results to BENCH_calibration.json -- stamped with the
 // compiler, flags and git SHA -- so the window-pipeline perf trajectory is
@@ -40,6 +40,7 @@
 // seir-event workload at 1 thread (the CI regression gate).
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -136,8 +137,7 @@ int run(const epismc::io::Args& args) {
                                 : resample;
         cfg.likelihood_name = "nb-sqrt";
         cfg.likelihood_parameter = likelihood_k;
-        cfg.capture = fused ? core::CapturePolicy::kInline
-                            : core::CapturePolicy::kDeferredReplay;
+        cfg.inline_state_budget = fused ? SIZE_MAX : 1;
 
         Cell cell;
         cell.backend = b.name;
@@ -200,7 +200,7 @@ int run(const epismc::io::Args& args) {
       cfg.resample_size = abm_sweep_params * abm_sweep_replicates;
       cfg.likelihood_name = "nb-sqrt";
       cfg.likelihood_parameter = likelihood_k;
-      cfg.capture = core::CapturePolicy::kInline;
+      cfg.inline_state_budget = SIZE_MAX;
 
       AbmEngineCell cell;
       cell.population = population;
@@ -274,7 +274,7 @@ int run(const epismc::io::Args& args) {
       << "  \"schema\": \"epismc-calibration-bench-v1\",\n"
       << "  \"generated_by\": \"bench/bench_calibration\",\n"
       << "  \"workload\": \"paper windows 20-75, nb-sqrt likelihood, "
-         "fused (inline capture) vs legacy (deferred replay)\",\n"
+         "fused (inline capture) vs legacy (survivor replay)\",\n"
       << bench::json_build_stamp()
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"

@@ -29,8 +29,8 @@ namespace epismc::abm {
 /// (AbmConfig::engine) regardless of which engine wrote a checkpoint. The
 /// typed pool holds full AgentBasedModel copies (agent arrays live,
 /// household topology built); agent arrays are large, so windows over big
-/// populations usually capture end states through the deferred-replay
-/// fallback (CapturePolicy::kAuto sizes this via the pool's
+/// populations usually capture end states by replaying the survivors
+/// (the window's inline_state_budget is weighed against the pool's
 /// approx_state_bytes()).
 class AbmSimulator final
     : public core::ModelSimulator<AgentBasedModel, AbmSimulatorConfig> {

@@ -673,8 +673,8 @@ AgentBasedModel AgentBasedModel::restore(const epi::Checkpoint& ckpt,
   m.next_state_ = in.read_vector<std::uint8_t>();
   m.next_day_ = in.read_vector<std::int32_t>();
   m.hot_households_ = in.read_vector<std::uint32_t>();
-  const auto ring_len = in.read<std::uint32_t>();
-  m.ring_.resize(ring_len);
+  // Each calendar bucket holds at least its vector length.
+  m.ring_.resize(in.read_count<std::uint32_t>(sizeof(std::uint64_t)));
   for (auto& bucket : m.ring_) bucket = in.read_vector<std::uint32_t>();
   const auto seed = in.read<std::uint64_t>();
   const auto stream = in.read<std::uint64_t>();

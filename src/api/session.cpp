@@ -120,14 +120,6 @@ CalibrationSession& CalibrationSession::with_resampling(
   return *this;
 }
 
-CalibrationSession& CalibrationSession::with_capture_policy(
-    core::CapturePolicy policy, std::size_t budget_bytes) {
-  require_unbuilt("with_capture_policy");
-  config_.capture = policy;
-  if (budget_bytes != 0) config_.inline_state_budget = budget_bytes;
-  return *this;
-}
-
 CalibrationSession& CalibrationSession::with_inference(
     const std::string& policy_name) {
   return with_inference(inference_strategies().create(policy_name));

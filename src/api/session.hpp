@@ -93,11 +93,6 @@ class CalibrationSession {
   CalibrationSession& with_deaths(bool use = true);
   CalibrationSession& with_seed(std::uint64_t seed);
   CalibrationSession& with_resampling(stats::ResamplingScheme scheme);
-  /// End-state capture strategy: inline single-pass capture (default via
-  /// kAuto), or the deferred two-pass replay fallback. `budget_bytes`
-  /// bounds kAuto's inline peak memory (0 keeps the config default).
-  CalibrationSession& with_capture_policy(core::CapturePolicy policy,
-                                          std::size_t budget_bytes = 0);
   /// Window inference strategy by registry name ("single-stage" |
   /// "tempered" | "tempered+rejuvenate"): applies the policy's strategy
   /// and adaptive defaults. Call with_ess_threshold /

@@ -22,52 +22,15 @@ namespace {
 constexpr std::uint32_t kCellArchiveVersion = 1;
 constexpr const char* kCellArchiveTag = "epismc-sweep-cell";
 
-void write_summary(io::BinaryWriter& out, const core::ParameterSummary& s) {
-  out.write(s.mean);
-  out.write(s.sd);
-  out.write(s.median);
-  out.write(s.ci50.lo);
-  out.write(s.ci50.hi);
-  out.write(s.ci90.lo);
-  out.write(s.ci90.hi);
-}
-
-core::ParameterSummary read_summary(io::BinaryReader& in) {
-  core::ParameterSummary s;
-  s.mean = in.read<double>();
-  s.sd = in.read<double>();
-  s.median = in.read<double>();
-  s.ci50.lo = in.read<double>();
-  s.ci50.hi = in.read<double>();
-  s.ci90.lo = in.read<double>();
-  s.ci90.hi = in.read<double>();
-  return s;
-}
-
 void write_sweep_run(const SweepRun& run, const std::filesystem::path& path) {
   io::BinaryWriter out(kCellArchiveVersion);
   out.write_string(kCellArchiveTag);
   out.write_string(run.scenario);
   out.write_string(run.simulator);
   out.write(static_cast<std::uint64_t>(run.windows.size()));
-  for (const core::WindowPosteriorSummary& w : run.windows) {
-    out.write(w.from_day);
-    out.write(w.to_day);
-    write_summary(out, w.theta);
-    write_summary(out, w.rho);
-  }
+  for (const core::WindowPosteriorSummary& w : run.windows) w.serialize(out);
   out.write(static_cast<std::uint64_t>(run.diagnostics.size()));
-  for (const core::WindowDiagnostics& d : run.diagnostics) {
-    out.write(d.ess);
-    out.write(d.perplexity);
-    out.write(d.max_weight);
-    out.write(d.log_marginal);
-    out.write(static_cast<std::uint64_t>(d.unique_resampled));
-    out.write(static_cast<std::uint64_t>(d.n_sims));
-    out.write(d.propagate_seconds);
-    out.write(d.checkpoint_seconds);
-    out.write(static_cast<std::uint8_t>(d.inline_capture ? 1 : 0));
-  }
+  for (const core::WindowDiagnostics& d : run.diagnostics) d.serialize(out);
   out.write_vector(run.truth_theta);
   out.write_vector(run.truth_rho);
   out.write(run.wall_seconds);
@@ -92,30 +55,17 @@ SweepRun read_sweep_run(const std::filesystem::path& path) {
   SweepRun run;
   run.scenario = in.read_string();
   run.simulator = in.read_string();
-  const auto n_windows = in.read<std::uint64_t>();
+  const std::size_t n_windows =
+      in.read_count(core::WindowPosteriorSummary::kArchiveBytes);
   run.windows.reserve(n_windows);
-  for (std::uint64_t i = 0; i < n_windows; ++i) {
-    core::WindowPosteriorSummary w;
-    w.from_day = in.read<std::int32_t>();
-    w.to_day = in.read<std::int32_t>();
-    w.theta = read_summary(in);
-    w.rho = read_summary(in);
-    run.windows.push_back(w);
+  for (std::size_t i = 0; i < n_windows; ++i) {
+    run.windows.push_back(core::WindowPosteriorSummary::deserialize(in));
   }
-  const auto n_diag = in.read<std::uint64_t>();
+  const std::size_t n_diag =
+      in.read_count(core::WindowDiagnostics::kArchiveBytes);
   run.diagnostics.reserve(n_diag);
-  for (std::uint64_t i = 0; i < n_diag; ++i) {
-    core::WindowDiagnostics d;
-    d.ess = in.read<double>();
-    d.perplexity = in.read<double>();
-    d.max_weight = in.read<double>();
-    d.log_marginal = in.read<double>();
-    d.unique_resampled = static_cast<std::size_t>(in.read<std::uint64_t>());
-    d.n_sims = static_cast<std::size_t>(in.read<std::uint64_t>());
-    d.propagate_seconds = in.read<double>();
-    d.checkpoint_seconds = in.read<double>();
-    d.inline_capture = in.read<std::uint8_t>() != 0;
-    run.diagnostics.push_back(d);
+  for (std::size_t i = 0; i < n_diag; ++i) {
+    run.diagnostics.push_back(core::WindowDiagnostics::deserialize(in));
   }
   run.truth_theta = in.read_vector<double>();
   run.truth_rho = in.read_vector<double>();

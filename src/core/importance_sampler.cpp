@@ -90,6 +90,49 @@ void run_temper_ladder(const EnsembleBuffer& ens, const WindowSpec& spec,
   result.diag.log_marginal = log_marginal;
 }
 
+// Copies row `from` of `src` into row `to` of `dst`, identity columns only:
+// what run_batch reads to regenerate the trajectory, plus its labels.
+void copy_identity(const EnsembleBuffer& src, std::size_t from,
+                   EnsembleBuffer& dst, std::size_t to) {
+  dst.param_index[to] = src.param_index[from];
+  dst.replicate[to] = src.replicate[from];
+  dst.parent[to] = src.parent[from];
+  dst.theta[to] = src.theta[from];
+  dst.rho[to] = src.rho[from];
+  dst.seed[to] = src.seed[from];
+  dst.stream[to] = src.stream[from];
+}
+
+// Re-runs rows `rows` of `src` from their identity columns through the
+// window with end-state capture into `pool` (resized to rows.size(), slot
+// k for rows[k]). Counter-based streams make each replay bit-identical to
+// the run that filled src's true-case row; the cheap check of that
+// invariant (the full property is covered in tests/) throws
+// std::logic_error naming `what` and the row.
+void replay_with_capture(const Simulator& sim, const StatePool& parents,
+                         std::int32_t to_day, const EnsembleBuffer& src,
+                         std::span<const std::uint32_t> rows, StatePool& pool,
+                         const char* what) {
+  EnsembleBuffer replay(rows.size(), src.window_len());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    copy_identity(src, rows[k], replay, k);
+  }
+  pool.resize(rows.size());
+  BatchSink sink;
+  sink.capture = &pool;
+  sim.run_batch(parents, to_day, replay, 0, rows.size(), sink);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::span<const double> a = replay.true_cases(k);
+    const std::span<const double> b = src.true_cases(rows[k]);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+      throw std::logic_error(std::string(what) +
+                             ": non-deterministic replay of row " +
+                             std::to_string(rows[k]) +
+                             "; stream discipline violated");
+    }
+  }
+}
+
 // PMMH-style rejuvenation of the final posterior draws: each draw
 // receives an independence MH proposal from the window's own proposal
 // distribution (fresh (theta, rho, parent) plus a fresh model stream), so
@@ -117,24 +160,19 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
   overlay.theta.resize(n_draws);
   overlay.rho.resize(n_draws);
   overlay.state_slot.assign(n_draws, WindowResult::kNoState);
-  // Accepted series land in a full-width scratch first (a draw can move
-  // again in a later round); only the moved rows are compacted into the
-  // overlay that the window result retains.
+  // Accepted particles (identity columns and series) land in a full-width
+  // scratch first (a draw can move again in a later round); only the moved
+  // rows are compacted into the overlay that the window result retains.
   EnsembleBuffer scratch(n_draws, window_len);
 
-  // Current particle of each draw: parameters, window log-likelihood, and
-  // the RNG identity that regenerates its trajectory.
+  // Window log-likelihood of each draw's current particle.
   std::vector<double> cur_ll(n_draws);
-  std::vector<std::uint32_t> cur_parent(n_draws);
-  std::vector<std::uint64_t> cur_stream(n_draws);
   for (std::size_t i = 0; i < n_draws; ++i) {
     const std::uint32_t s = result.resampled[i];
     overlay.theta[i] = ens.theta[s];
     overlay.rho[i] = ens.rho[s];
     overlay.state_slot[i] = result.sim_to_state[s];
     cur_ll[i] = full_ll.empty() ? ens.log_weight[s] : full_ll[s];
-    cur_parent[i] = ens.parent[s];
-    cur_stream[i] = ens.stream[s];
   }
 
   EnsembleBuffer prop(n_draws, window_len);
@@ -185,8 +223,7 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
         overlay.theta[i] = prop.theta[i];
         overlay.rho[i] = prop.rho[i];
         cur_ll[i] = prop.log_weight[i];
-        cur_parent[i] = prop.parent[i];
-        cur_stream[i] = prop.stream[i];
+        copy_identity(prop, i, scratch, i);
         for (const auto which :
              {EnsembleBuffer::Series::kTrueCases,
               EnsembleBuffer::Series::kObsCases,
@@ -205,8 +242,7 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
   }
 
   // Capture end states for the moved draws by replaying their winning
-  // identities through the batch kernel (bit-identical by stream
-  // discipline) and folding the states into the window's survivor pool.
+  // identities and folding the states into the window's survivor pool.
   std::vector<std::uint32_t> moved_ids;
   for (std::size_t i = 0; i < n_draws; ++i) {
     if (overlay.moved[i]) moved_ids.push_back(static_cast<std::uint32_t>(i));
@@ -225,32 +261,11 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
     }
   }
   if (!moved_ids.empty()) {
-    EnsembleBuffer fin(moved_ids.size(), window_len);
-    for (std::size_t k = 0; k < moved_ids.size(); ++k) {
-      const std::uint32_t i = moved_ids[k];
-      fin.param_index[k] = i;
-      fin.replicate[k] = 0;
-      fin.parent[k] = cur_parent[i];
-      fin.theta[k] = overlay.theta[i];
-      fin.rho[k] = overlay.rho[i];
-      fin.seed[k] = spec.seed;
-      fin.stream[k] = cur_stream[i];
-    }
     const std::shared_ptr<StatePool> moved_pool = sim.make_pool();
-    moved_pool->resize(moved_ids.size());
-    BatchSink cap;
-    cap.capture = moved_pool.get();
-    sim.run_batch(parents, spec.to_day, fin, 0, moved_ids.size(), cap);
+    replay_with_capture(sim, parents, spec.to_day, scratch, moved_ids,
+                        *moved_pool, "run_rejuvenation");
     for (std::size_t k = 0; k < moved_ids.size(); ++k) {
-      const std::uint32_t i = moved_ids[k];
-      const std::span<const double> a = fin.true_cases(k);
-      const std::span<const double> b = overlay.series.true_cases(k);
-      if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-        throw std::logic_error(
-            "run_rejuvenation: non-deterministic replay of draw " +
-            std::to_string(i) + "; stream discipline violated");
-      }
-      overlay.state_slot[i] = static_cast<std::uint32_t>(
+      overlay.state_slot[moved_ids[k]] = static_cast<std::uint32_t>(
           result.state_pool->append_from(*moved_pool, k));
     }
   }
@@ -258,15 +273,6 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
 }
 
 }  // namespace
-
-const char* to_string(CapturePolicy policy) {
-  switch (policy) {
-    case CapturePolicy::kAuto: return "auto";
-    case CapturePolicy::kInline: return "inline";
-    case CapturePolicy::kDeferredReplay: return "deferred-replay";
-  }
-  return "unknown";
-}
 
 void WindowSpec::validate(const ObservedData* data) const {
   if (to_day < from_day) {
@@ -403,7 +409,6 @@ void resolve_window_posterior(const WindowPosteriorInputs& in,
   const WindowSpec& spec = in.spec;
   EnsembleBuffer& ens = result.ensemble;
   const std::size_t n_sims = ens.size();
-  const std::size_t window_len = result.window_length();
   result.diag.inline_capture = inline_capture;
 
   // --- 3. Normalize weights and diagnostics: one log-sum-exp pass, owned
@@ -476,36 +481,8 @@ void resolve_window_posterior(const WindowPosteriorInputs& in,
     // keeping the survivors is O(survivors) pointer moves.
     capture->compact(surv.unique);
   } else {
-    // Deferred replay: a small ensemble over the survivors only, re-run
-    // through the same batch entry point with capture. Counter-based
-    // streams make the replay bit-identical to the weighted run.
-    EnsembleBuffer replay(surv.unique.size(), window_len);
-    for (std::size_t u = 0; u < surv.unique.size(); ++u) {
-      const std::uint32_t s = surv.unique[u];
-      replay.param_index[u] = ens.param_index[s];
-      replay.replicate[u] = ens.replicate[s];
-      replay.parent[u] = ens.parent[s];
-      replay.theta[u] = ens.theta[s];
-      replay.rho[u] = ens.rho[s];
-      replay.seed[u] = ens.seed[s];
-      replay.stream[u] = ens.stream[s];
-    }
-    capture->resize(surv.unique.size());
-    BatchSink replay_sink;
-    replay_sink.capture = capture.get();
-    in.sim.run_batch(in.parents, spec.to_day, replay, 0, surv.unique.size(),
-                     replay_sink);
-    for (std::size_t u = 0; u < surv.unique.size(); ++u) {
-      // Cheap tail of the replay-determinism invariant (the full property
-      // is covered in tests/).
-      const auto a = replay.true_cases(u);
-      const auto b = ens.true_cases(surv.unique[u]);
-      if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-        throw std::logic_error(
-            "run_importance_window: non-deterministic replay of sim " +
-            std::to_string(surv.unique[u]) + "; stream discipline violated");
-      }
-    }
+    replay_with_capture(in.sim, in.parents, spec.to_day, ens, surv.unique,
+                        *capture, "run_importance_window");
   }
   result.state_pool = std::move(capture);
   result.diag.checkpoint_seconds = checkpoint_timer.seconds();
@@ -560,22 +537,10 @@ WindowResult run_importance_window(const Simulator& sim,
   const ObservationCache death_cache =
       spec.use_deaths ? death_likelihood.prepare(y_deaths) : ObservationCache{};
 
-  // Resolve the capture policy: inline when the peak transient cost of
-  // holding every candidate's end state fits the budget.
-  bool inline_capture = false;
-  switch (spec.capture) {
-    case CapturePolicy::kInline:
-      inline_capture = true;
-      break;
-    case CapturePolicy::kDeferredReplay:
-      inline_capture = false;
-      break;
-    case CapturePolicy::kAuto:
-      inline_capture =
-          parents.approx_state_bytes() * n_sims <= spec.inline_state_budget;
-      break;
-  }
-
+  // Capture inline when the peak transient cost of holding every
+  // candidate's end state fits the budget; otherwise replay the survivors.
+  const bool inline_capture =
+      parents.approx_state_bytes() * n_sims <= spec.inline_state_budget;
   std::shared_ptr<StatePool> capture = sim.make_pool();
   BatchSink sink;
   if (inline_capture) {

@@ -23,14 +23,14 @@
 //      proposal (whose density cancels, so acceptance is exactly the
 //      likelihood ratio) and propagated through the same fused batch
 //      kernel. The full trace lands in WindowResult::smc.
-//   4. Keep end states for the unique resampled survivors only: inline
-//      capture compacts the pool down to the survivors (O(survivors)
-//      pointer moves, no re-simulation, no serialization). CapturePolicy
-//      can instead defer capture to a replay pass over the survivors --
-//      the pre-single-pass behaviour, retained for backends whose states
-//      are too large to hold for every candidate (the ABM's agent arrays
-//      at scale): checkpoints cost memory, re-runs cost one window of
-//      compute, and survivors are few.
+//   4. Keep end states for the unique resampled survivors only. When
+//      holding every candidate's end state fits WindowSpec's
+//      inline_state_budget, the weighted pass captures them all and the
+//      pool is compacted down to the survivors (O(survivors) pointer moves,
+//      no re-simulation, no serialization). Otherwise the survivors are
+//      replayed through the window with capture -- the fallback for states
+//      too large to hold for every candidate (the ABM's agent arrays at
+//      scale): re-runs cost one window of compute, and survivors are few.
 
 #include <cmath>
 #include <cstdint>
@@ -62,25 +62,6 @@ struct ProposedParams {
 using ParamProposal =
     std::function<ProposedParams(rng::Engine& eng, std::uint32_t j)>;
 
-/// How a window's end-of-window states are captured.
-enum class CapturePolicy : std::uint8_t {
-  /// Inline when n_sims * approx_state_bytes fits the spec's inline
-  /// budget, deferred replay otherwise. The default: compact models
-  /// (SEIR, chain-binomial) capture inline, large agent-array states fall
-  /// back to replay.
-  kAuto,
-  /// Snapshot every sim's end state into the pool during the weighted
-  /// pass; survivors are kept by compaction. No second propagation pass.
-  kInline,
-  /// Propagate the weighted pass without capture, then re-run the unique
-  /// resampled survivors through the window to regenerate their end
-  /// states (bit-identical by stream discipline). The legacy two-pass
-  /// path; costs up to one extra window of compute.
-  kDeferredReplay,
-};
-
-[[nodiscard]] const char* to_string(CapturePolicy policy);
-
 struct WindowSpec {
   std::int32_t from_day = 0;
   std::int32_t to_day = 0;
@@ -93,10 +74,10 @@ struct WindowSpec {
   stats::ResamplingScheme scheme = stats::ResamplingScheme::kSystematic;
   std::uint64_t seed = 0;  // base randomness identity for this window
 
-  /// End-state capture strategy (see CapturePolicy).
-  CapturePolicy capture = CapturePolicy::kAuto;
-  /// kAuto's memory ceiling for inline capture: the peak transient cost of
-  /// holding every candidate's end state, n_sims * approx_state_bytes.
+  /// Memory ceiling for inline end-state capture: the weighted pass
+  /// captures every candidate's end state iff n_sims * approx_state_bytes
+  /// fits; otherwise the survivors are replayed with capture afterwards.
+  /// Both paths give the same bits.
   std::size_t inline_state_budget = std::size_t{512} << 20;  // 512 MiB
 
   /// How scored likelihoods become the posterior sample (see

@@ -4,9 +4,36 @@
 #include <stdexcept>
 #include <string>
 
+#include "io/binary_archive.hpp"
 #include "stats/descriptive.hpp"
 
 namespace epismc::core {
+
+void WindowDiagnostics::serialize(io::BinaryWriter& out) const {
+  out.write(ess);
+  out.write(perplexity);
+  out.write(max_weight);
+  out.write(log_marginal);
+  out.write(static_cast<std::uint64_t>(unique_resampled));
+  out.write(static_cast<std::uint64_t>(n_sims));
+  out.write(propagate_seconds);
+  out.write(checkpoint_seconds);
+  out.write(static_cast<std::uint8_t>(inline_capture));
+}
+
+WindowDiagnostics WindowDiagnostics::deserialize(io::BinaryReader& in) {
+  WindowDiagnostics d;
+  d.ess = in.read<double>();
+  d.perplexity = in.read<double>();
+  d.max_weight = in.read<double>();
+  d.log_marginal = in.read<double>();
+  d.unique_resampled = static_cast<std::size_t>(in.read<std::uint64_t>());
+  d.n_sims = static_cast<std::size_t>(in.read<std::uint64_t>());
+  d.propagate_seconds = in.read<double>();
+  d.checkpoint_seconds = in.read<double>();
+  d.inline_capture = in.read<std::uint8_t>() != 0;
+  return d;
+}
 
 epi::Checkpoint WindowResult::state_checkpoint(std::uint32_t s) const {
   if (!state_pool || s >= sim_to_state.size() ||

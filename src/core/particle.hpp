@@ -36,12 +36,20 @@ struct WindowDiagnostics {
   /// Wall time of the fused batched sweep: propagate + bias + likelihood
   /// (+ inline end-state capture when inline_capture is set).
   double propagate_seconds = 0.0;
-  /// Wall time of the deferred end-state replay pass; ~0 under inline
-  /// capture, where end states fall out of the weighted sweep itself.
+  /// Wall time of keeping the survivors' end states: a pool compaction
+  /// under inline capture, a replay of the survivors otherwise.
   double checkpoint_seconds = 0.0;
   /// True when end states were captured inline during the weighted pass
-  /// (CapturePolicy resolution; false means the deferred-replay fallback).
+  /// (n_sims * approx_state_bytes fit WindowSpec::inline_state_budget);
+  /// false when the survivors were replayed with capture afterwards.
   bool inline_capture = false;
+
+  /// Field by field through the binary archive, as SmcDiagnostics; the
+  /// stream checkpoint and the sweep cell archive share this layout.
+  static constexpr std::size_t kArchiveBytes =
+      6 * sizeof(double) + 2 * sizeof(std::uint64_t) + sizeof(std::uint8_t);
+  void serialize(io::BinaryWriter& out) const;
+  [[nodiscard]] static WindowDiagnostics deserialize(io::BinaryReader& in);
 };
 
 /// Post-rejuvenation overlay: when the window's inference strategy ran

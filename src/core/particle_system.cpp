@@ -71,8 +71,7 @@ SmcDiagnostics SmcDiagnostics::deserialize(io::BinaryReader& in) {
   d.ess_threshold = in.read<double>();
   d.initial_ess = in.read<double>();
   d.final_ess = in.read<double>();
-  const auto n_stages = in.read<std::uint64_t>();
-  d.stages.resize(n_stages);
+  d.stages.resize(in.read_count(3 * sizeof(double)));
   for (SmcStage& s : d.stages) {
     s.phi = in.read<double>();
     s.ess = in.read<double>();

@@ -4,9 +4,49 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "io/binary_archive.hpp"
 #include "random/seeding.hpp"
 
 namespace epismc::core {
+
+void ParameterSummary::serialize(io::BinaryWriter& out) const {
+  out.write(mean);
+  out.write(sd);
+  out.write(median);
+  out.write(ci50.lo);
+  out.write(ci50.hi);
+  out.write(ci90.lo);
+  out.write(ci90.hi);
+}
+
+ParameterSummary ParameterSummary::deserialize(io::BinaryReader& in) {
+  ParameterSummary s;
+  s.mean = in.read<double>();
+  s.sd = in.read<double>();
+  s.median = in.read<double>();
+  s.ci50.lo = in.read<double>();
+  s.ci50.hi = in.read<double>();
+  s.ci90.lo = in.read<double>();
+  s.ci90.hi = in.read<double>();
+  return s;
+}
+
+void WindowPosteriorSummary::serialize(io::BinaryWriter& out) const {
+  out.write(from_day);
+  out.write(to_day);
+  theta.serialize(out);
+  rho.serialize(out);
+}
+
+WindowPosteriorSummary WindowPosteriorSummary::deserialize(
+    io::BinaryReader& in) {
+  WindowPosteriorSummary w;
+  w.from_day = in.read<std::int32_t>();
+  w.to_day = in.read<std::int32_t>();
+  w.theta = ParameterSummary::deserialize(in);
+  w.rho = ParameterSummary::deserialize(in);
+  return w;
+}
 
 ParameterSummary summarize_parameter(const std::vector<double>& draws) {
   if (draws.size() < 2) {

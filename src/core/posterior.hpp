@@ -25,6 +25,11 @@ struct ParameterSummary {
   double median = 0.0;
   stats::Interval ci50;
   stats::Interval ci90;
+
+  /// Field by field: mean, sd, median, ci50 lo/hi, ci90 lo/hi.
+  static constexpr std::size_t kArchiveBytes = 7 * sizeof(double);
+  void serialize(io::BinaryWriter& out) const;
+  [[nodiscard]] static ParameterSummary deserialize(io::BinaryReader& in);
 };
 
 [[nodiscard]] ParameterSummary summarize_parameter(
@@ -36,6 +41,11 @@ struct WindowPosteriorSummary {
   std::int32_t to_day = 0;
   ParameterSummary theta;
   ParameterSummary rho;
+
+  static constexpr std::size_t kArchiveBytes =
+      2 * sizeof(std::int32_t) + 2 * ParameterSummary::kArchiveBytes;
+  void serialize(io::BinaryWriter& out) const;
+  [[nodiscard]] static WindowPosteriorSummary deserialize(io::BinaryReader& in);
 };
 
 [[nodiscard]] WindowPosteriorSummary summarize_window(

@@ -12,17 +12,14 @@ void CalibrationConfig::validate() const {
   if (windows.empty()) {
     throw std::invalid_argument("CalibrationConfig: no windows");
   }
+  // Per-window checks (inverted window, zero budget, inference knobs) live
+  // in WindowSpec::validate; contiguity and the whole-run settings below.
   for (std::size_t m = 0; m < windows.size(); ++m) {
-    if (windows[m].second < windows[m].first) {
-      throw std::invalid_argument("CalibrationConfig: window ends before start");
-    }
+    make_window_spec(*this, m).validate();
     if (m > 0 && windows[m].first != windows[m - 1].second + 1) {
       throw std::invalid_argument(
           "CalibrationConfig: windows must be contiguous");
     }
-  }
-  if (n_params == 0 || replicates == 0 || resample_size == 0) {
-    throw std::invalid_argument("CalibrationConfig: zero-sized budget");
   }
   if (!(defensive_fraction > 0.0 && defensive_fraction <= 1.0)) {
     // A zero (or negative) fraction silently disables the defensive prior
@@ -36,21 +33,6 @@ void CalibrationConfig::validate() const {
         " (a zero/negative fraction disables the defensive prior mixture "
         "that keeps regime shifts reachable; use a small positive fraction "
         "such as 0.01 to approximate 'off')");
-  }
-  if (!(ess_threshold > 0.0 && ess_threshold < 1.0)) {
-    throw std::invalid_argument(
-        "CalibrationConfig: ess_threshold must be a fraction of n_sims in "
-        "(0, 1), got " + std::to_string(ess_threshold));
-  }
-  if (max_temper_stages == 0) {
-    throw std::invalid_argument(
-        "CalibrationConfig: max_temper_stages must be >= 1");
-  }
-  if (inference == InferenceStrategy::kTemperedRejuvenate &&
-      rejuvenation_moves == 0) {
-    throw std::invalid_argument(
-        "CalibrationConfig: the tempered+rejuvenate strategy needs "
-        "rejuvenation_moves >= 1 (use \"tempered\" for ladder-only runs)");
   }
   if (burnin_day < 0 || burnin_day >= windows.front().first) {
     throw std::invalid_argument(
@@ -139,7 +121,6 @@ WindowSpec make_window_spec(const CalibrationConfig& config, std::size_t m) {
   spec.use_deaths = config.use_deaths;
   spec.scheme = config.scheme;
   spec.seed = rng::hash_combine(config.seed, m);
-  spec.capture = config.capture;
   spec.inline_state_budget = config.inline_state_budget;
   spec.inference = config.inference;
   spec.ess_threshold = config.ess_threshold;

@@ -74,11 +74,9 @@ struct CalibrationConfig {
   /// the standard remedy for the degeneracy risk §VI discusses.
   double defensive_fraction = 0.10;
 
-  /// End-state capture strategy per window (see core::CapturePolicy):
-  /// inline single-pass capture by default, with the deferred replay
-  /// fallback when states are too large to hold for every candidate.
-  CapturePolicy capture = CapturePolicy::kAuto;
-  std::size_t inline_state_budget = std::size_t{512} << 20;  // kAuto ceiling
+  /// Per-window memory ceiling for inline end-state capture (see
+  /// WindowSpec::inline_state_budget).
+  std::size_t inline_state_budget = std::size_t{512} << 20;
 
   /// Inference strategy per window (see core::InferenceStrategy):
   /// single-stage (the paper's scheme, bit-identical to the historical
@@ -95,11 +93,12 @@ struct CalibrationConfig {
   /// CalibrationError. See core::DegeneracyPolicy.
   DegeneracyPolicy on_degenerate = DegeneracyPolicy::kQuarantine;
 
-  /// Fail-fast validation in the WindowSpec::validate style: precise
-  /// messages for inverted/overlapping windows, zero budgets, a
-  /// non-positive defensive mixture (a zero fraction silently disables
-  /// the paper's regime-shift safeguard, so it is rejected rather than
-  /// accepted), out-of-range ESS thresholds, and unknown component names.
+  /// Fail-fast validation: runs WindowSpec::validate on every window's
+  /// make_window_spec (inverted windows, zero budgets, out-of-range
+  /// inference knobs), then rejects non-contiguous windows, a non-positive
+  /// defensive mixture (a zero fraction silently disables the paper's
+  /// regime-shift safeguard, so it is rejected rather than accepted), a
+  /// bad burn-in day, null priors, and unknown component names.
   void validate() const;
 };
 

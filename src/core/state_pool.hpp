@@ -97,7 +97,7 @@ class StatePool {
   virtual void gather(std::span<const std::uint32_t> ancestors);
 
   /// Rough in-memory footprint of one state, in bytes -- the input to the
-  /// CapturePolicy::kAuto decision (inline capture of N states costs
+  /// inline-capture size rule (inline capture of N states costs
   /// N * approx_state_bytes() of peak memory). Estimated from the first
   /// non-empty slot; 0 when the pool is empty.
   [[nodiscard]] virtual std::size_t approx_state_bytes() const = 0;

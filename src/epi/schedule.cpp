@@ -61,10 +61,11 @@ void PiecewiseSchedule::serialize(io::BinaryWriter& out) const {
 }
 
 PiecewiseSchedule PiecewiseSchedule::deserialize(io::BinaryReader& in) {
-  const auto n = in.read<std::uint64_t>();
+  const std::size_t n =
+      in.read_count(sizeof(std::int32_t) + sizeof(double));
   std::vector<Segment> segments;
   segments.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Segment s{};
     s.start_day = in.read<std::int32_t>();
     s.value = in.read<double>();

@@ -70,9 +70,10 @@ void Trajectory::serialize(io::BinaryWriter& out) const {
 
 Trajectory Trajectory::deserialize(io::BinaryReader& in) {
   Trajectory t;
-  const auto n = in.read<std::uint64_t>();
+  const std::size_t n =
+      in.read_count(sizeof(std::int32_t) + 7 * sizeof(std::int64_t));
   t.records_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     DailyRecord rec;
     rec.day = in.read<std::int32_t>();
     rec.new_infections = in.read<std::int64_t>();

@@ -180,19 +180,30 @@ class BinaryReader {
     return s;
   }
 
+  /// Read an element count (stored as `Count`) for a loader that allocates
+  /// from it. Each element occupies at least `min_bytes_per_item` (>= 1)
+  /// archive bytes, so a count that cannot fit in what is left is rejected
+  /// as kTruncated before the caller reserves or resizes: a corrupt count
+  /// must fail typed, not request a bogus allocation.
+  template <typename Count = std::uint64_t>
+    requires std::is_unsigned_v<Count>
+  std::size_t read_count(std::size_t min_bytes_per_item) {
+    const std::uint64_t n = read<Count>();
+    if (n > remaining() / min_bytes_per_item) {
+      throw ArchiveError(
+          ArchiveErrorKind::kTruncated,
+          "BinaryReader: count " + std::to_string(n) + " (at least " +
+              std::to_string(min_bytes_per_item) +
+              " bytes each) exceeds the " + std::to_string(remaining()) +
+              " bytes left in the archive");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
-    const auto n = read<std::uint64_t>();
-    // Reject n before the byte-count multiply can wrap: a corrupt length
-    // field must fail typed, not request a bogus allocation.
-    if (n > remaining() / sizeof(T)) {
-      throw ArchiveError(
-          ArchiveErrorKind::kTruncated,
-          "BinaryReader: vector length " + std::to_string(n) + " (" +
-              std::to_string(sizeof(T)) + "-byte elements) exceeds the " +
-              std::to_string(remaining()) + " bytes left in the archive");
-    }
+    const std::size_t n = read_count(sizeof(T));
     std::vector<T> v(n);
     if (n != 0) {  // an empty vector's data() may be null; memcpy forbids it
       std::memcpy(v.data(), buffer_.data() + cursor_, n * sizeof(T));

@@ -76,7 +76,10 @@ std::uint64_t config_fingerprint(const StreamConfig& config) {
   h = mix(h, c.rho_jitter.lo);
   h = mix(h, c.rho_jitter.hi);
   h = mix(h, c.defensive_fraction);
-  h = mix(h, static_cast<std::uint64_t>(c.capture));
+  // Placeholder for the retired capture-policy field (its old default
+  // tag, 0), kept so fingerprints of existing stream checkpoints still
+  // match and those checkpoints still resume.
+  h = mix(h, std::uint64_t{0});
   h = mix(h, static_cast<std::uint64_t>(c.inline_state_budget));
   h = mix(h, static_cast<std::uint64_t>(c.inference));
   h = mix(h, c.ess_threshold);
@@ -124,10 +127,12 @@ std::size_t checkpoints_bytes(const std::vector<epi::Checkpoint>& v) {
 }
 
 std::vector<epi::Checkpoint> read_checkpoints(io::BinaryReader& in) {
-  const auto n = in.read<std::uint64_t>();
+  // Each checkpoint holds at least its day and its byte-vector length.
+  const std::size_t n =
+      in.read_count(sizeof(std::int32_t) + sizeof(std::uint64_t));
   std::vector<epi::Checkpoint> v;
   v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_checkpoint(in));
+  for (std::size_t i = 0; i < n; ++i) v.push_back(read_checkpoint(in));
   return v;
 }
 
@@ -158,86 +163,28 @@ std::size_t state_bytes(const StreamState& st) {
   return n;
 }
 
-void write_interval(io::BinaryWriter& out, const stats::Interval& iv) {
-  out.write(iv.lo);
-  out.write(iv.hi);
-}
-
-stats::Interval read_interval(io::BinaryReader& in) {
-  stats::Interval iv;
-  iv.lo = in.read<double>();
-  iv.hi = in.read<double>();
-  return iv;
-}
-
-void write_parameter_summary(io::BinaryWriter& out,
-                             const core::ParameterSummary& s) {
-  out.write(s.mean);
-  out.write(s.sd);
-  out.write(s.median);
-  write_interval(out, s.ci50);
-  write_interval(out, s.ci90);
-}
-
-core::ParameterSummary read_parameter_summary(io::BinaryReader& in) {
-  core::ParameterSummary s;
-  s.mean = in.read<double>();
-  s.sd = in.read<double>();
-  s.median = in.read<double>();
-  s.ci50 = read_interval(in);
-  s.ci90 = read_interval(in);
-  return s;
-}
-
-void write_diag(io::BinaryWriter& out, const core::WindowDiagnostics& d) {
-  out.write(d.ess);
-  out.write(d.perplexity);
-  out.write(d.max_weight);
-  out.write(d.log_marginal);
-  out.write(static_cast<std::uint64_t>(d.unique_resampled));
-  out.write(static_cast<std::uint64_t>(d.n_sims));
-  out.write(d.propagate_seconds);
-  out.write(d.checkpoint_seconds);
-  out.write(static_cast<std::uint8_t>(d.inline_capture));
-}
-
-core::WindowDiagnostics read_diag(io::BinaryReader& in) {
-  core::WindowDiagnostics d;
-  d.ess = in.read<double>();
-  d.perplexity = in.read<double>();
-  d.max_weight = in.read<double>();
-  d.log_marginal = in.read<double>();
-  d.unique_resampled = static_cast<std::size_t>(in.read<std::uint64_t>());
-  d.n_sims = static_cast<std::size_t>(in.read<std::uint64_t>());
-  d.propagate_seconds = in.read<double>();
-  d.checkpoint_seconds = in.read<double>();
-  d.inline_capture = in.read<std::uint8_t>() != 0;
-  return d;
-}
-
 void write_window_record(io::BinaryWriter& out, const StreamWindowRecord& w) {
   out.write(w.from_day);
   out.write(w.to_day);
-  write_diag(out, w.diag);
+  w.diag.serialize(out);
   w.smc.serialize(out);
-  out.write(w.summary.from_day);
-  out.write(w.summary.to_day);
-  write_parameter_summary(out, w.summary.theta);
-  write_parameter_summary(out, w.summary.rho);
+  w.summary.serialize(out);
 }
 
 StreamWindowRecord read_window_record(io::BinaryReader& in) {
   StreamWindowRecord w;
   w.from_day = in.read<std::int32_t>();
   w.to_day = in.read<std::int32_t>();
-  w.diag = read_diag(in);
+  w.diag = core::WindowDiagnostics::deserialize(in);
   w.smc = core::SmcDiagnostics::deserialize(in);
-  w.summary.from_day = in.read<std::int32_t>();
-  w.summary.to_day = in.read<std::int32_t>();
-  w.summary.theta = read_parameter_summary(in);
-  w.summary.rho = read_parameter_summary(in);
+  w.summary = core::WindowPosteriorSummary::deserialize(in);
   return w;
 }
+
+/// Bytes write_day_record appends.
+constexpr std::size_t kDayRecordBytes = 3 * sizeof(std::uint32_t) +
+                                        3 * sizeof(double) +
+                                        sizeof(std::uint8_t);
 
 void write_day_record(io::BinaryWriter& out, const StreamDayRecord& d) {
   out.write(d.day);
@@ -342,14 +289,19 @@ StreamState StreamState::deserialize(io::BinaryReader& in) {
   st.window_open = in.read<std::uint8_t>() != 0;
   st.days_since_checkpoint = in.read<std::uint64_t>();
 
-  const auto n_windows = in.read<std::uint64_t>();
+  // Lower bounds per record: a window record holds at least its days, its
+  // diagnostics and its summary (the SMC trace is left out of the bound).
+  const std::size_t n_windows =
+      in.read_count(2 * sizeof(std::int32_t) +
+                    core::WindowDiagnostics::kArchiveBytes +
+                    core::WindowPosteriorSummary::kArchiveBytes);
   st.history.reserve(n_windows);
-  for (std::uint64_t i = 0; i < n_windows; ++i) {
+  for (std::size_t i = 0; i < n_windows; ++i) {
     st.history.push_back(read_window_record(in));
   }
-  const auto n_days = in.read<std::uint64_t>();
+  const std::size_t n_days = in.read_count(kDayRecordBytes);
   st.days.reserve(n_days);
-  for (std::uint64_t i = 0; i < n_days; ++i) {
+  for (std::size_t i = 0; i < n_days; ++i) {
     st.days.push_back(read_day_record(in));
   }
 

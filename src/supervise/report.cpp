@@ -128,17 +128,24 @@ SupervisionReport SupervisionReport::deserialize(io::BinaryReader& in) {
   report.max_retries = in.read<std::uint32_t>();
   report.task_deadline_seconds = in.read<double>();
   report.stall_timeout_seconds = in.read<double>();
-  const auto n_tasks = in.read<std::uint64_t>();
+  // Lower bounds per record, where every string costs at least its length
+  // field. A task: name, kind, outcome, wall time, attempt count.
+  const std::size_t n_tasks = in.read_count(
+      2 * sizeof(std::uint64_t) + 1 + sizeof(double) + sizeof(std::uint64_t));
   report.tasks.reserve(n_tasks);
-  for (std::uint64_t t = 0; t < n_tasks; ++t) {
+  for (std::size_t t = 0; t < n_tasks; ++t) {
     TaskReport task;
     task.name = in.read_string();
     task.kind = in.read_string();
     task.outcome = outcome_from_wire(in.read<std::uint8_t>());
     task.wall_seconds = in.read<double>();
-    const auto n_attempts = in.read<std::uint64_t>();
+    // An attempt: index, outcome, exit code, signal, wall and backoff
+    // times, resumed, recovered generation, fell_back, note.
+    const std::size_t n_attempts = in.read_count(
+        sizeof(std::uint32_t) + 3 + 2 * sizeof(std::int32_t) +
+        2 * sizeof(double) + 2 * sizeof(std::uint64_t));
     task.attempts.reserve(n_attempts);
-    for (std::uint64_t a = 0; a < n_attempts; ++a) {
+    for (std::size_t a = 0; a < n_attempts; ++a) {
       TaskAttempt attempt;
       attempt.attempt = in.read<std::uint32_t>();
       attempt.outcome = outcome_from_wire(in.read<std::uint8_t>());

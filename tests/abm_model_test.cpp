@@ -185,10 +185,9 @@ std::size_t household_offset(const epi::Checkpoint& ckpt) {
   return ckpt.bytes.size() - in.remaining();
 }
 
-/// Byte offset of the census: parameters, household fields, network seed,
+/// Advance `in` to the census: parameters, household fields, network seed,
 /// engine tag, schedule and day precede it.
-std::size_t census_offset(const epi::Checkpoint& ckpt) {
-  io::BinaryReader in{ckpt.bytes};
+void skip_to_census(io::BinaryReader& in) {
   (void)epi::DiseaseParameters::deserialize(in);
   (void)in.read<double>();
   (void)in.read<double>();
@@ -196,6 +195,12 @@ std::size_t census_offset(const epi::Checkpoint& ckpt) {
   (void)in.read<std::uint8_t>();
   (void)epi::PiecewiseSchedule::deserialize(in);
   (void)in.read<std::int32_t>();
+}
+
+/// Byte offset of the census.
+std::size_t census_offset(const epi::Checkpoint& ckpt) {
+  io::BinaryReader in{ckpt.bytes};
+  skip_to_census(in);
   return ckpt.bytes.size() - in.remaining();
 }
 
@@ -243,6 +248,27 @@ TEST(AbmModel, ArchivedCensusNotSummingToPopulationIsCorrupt) {
   ASSERT_GT(s, 0);
   const epi::Checkpoint bad = overwrite(good, at, s - 1);
   expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, "census");
+}
+
+// A corrupt calendar length fails typed before the restore allocates the
+// ring from it.
+TEST(AbmModel, ArchivedHugeCalendarLengthIsTruncated) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(83);
+  io::BinaryReader in{good.bytes};
+  skip_to_census(in);
+  (void)in.read<epi::Census>();
+  (void)in.read_vector<std::uint8_t>();   // state
+  (void)in.read_vector<std::uint8_t>();   // next_state
+  (void)in.read_vector<std::int32_t>();   // next_day
+  (void)in.read_vector<std::uint32_t>();  // hot_households
+  const std::size_t at = good.bytes.size() - in.remaining();
+  const epi::Checkpoint bad = overwrite(good, at, ~std::uint32_t{0});
+  try {
+    (void)AgentBasedModel::restore(bad);
+    FAIL() << "restore accepted a calendar length of 2^32 - 1";
+  } catch (const ArchiveError& e) {
+    EXPECT_EQ(e.kind(), ArchiveErrorKind::kTruncated) << e.what();
+  }
 }
 
 TEST(AbmModel, InvalidOverrideStaysInvalidArgument) {

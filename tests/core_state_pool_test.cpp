@@ -4,7 +4,7 @@
 // deferred-replay equivalence (including through the sequential
 // calibrator and the posterior forecast); pool mechanics (io-boundary
 // round trips, compaction, backend mismatch diagnostics); and the
-// CapturePolicy::kAuto budget decision.
+// inline-capture size rule against WindowSpec::inline_state_budget.
 
 #include <gtest/gtest.h>
 
@@ -85,9 +85,15 @@ const GroundTruth& shared_truth() {
 // this PR introduces, applied to that tree) with
 // this exact configuration, hashing the IEEE-754 images of all log
 // weights, the resampled index vector, and the serialized end states of
-// every unique survivor in slot order. Both capture policies must land on
-// exactly these values.
+// every unique survivor in slot order. Both capture paths -- inline under
+// an unlimited budget, survivor replay under a budget of one byte -- must
+// land on exactly these values.
 // ---------------------------------------------------------------------------
+
+// Inline-state budgets that force each capture path: everything fits, or
+// nothing does.
+constexpr std::size_t kInlineBudget = SIZE_MAX;
+constexpr std::size_t kReplayBudget = 1;
 
 struct GoldenCase {
   const char* name;          // registry name
@@ -122,20 +128,21 @@ TEST_P(WindowGolden, SinglePassMatchesPreRefactorTwoPassPath) {
   const BinomialBias bias;
   const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7)};
 
-  for (const CapturePolicy policy :
-       {CapturePolicy::kInline, CapturePolicy::kDeferredReplay}) {
-    spec.capture = policy;
+  for (const std::size_t budget : {kInlineBudget, kReplayBudget}) {
+    spec.inline_state_budget = budget;
+    const bool inline_capture = budget == kInlineBudget;
     const WindowResult r = run_importance_window(
         *sim, lik, bias, shared_truth().observed(), parents, spec,
         prior_proposal());
-    EXPECT_EQ(r.diag.inline_capture, policy == CapturePolicy::kInline);
+    EXPECT_EQ(r.diag.inline_capture, inline_capture);
     EXPECT_EQ(hash_doubles(r.ensemble.log_weight), gc.log_weight_hash)
-        << to_string(policy);
-    EXPECT_EQ(hash_u32(r.resampled), gc.resampled_hash) << to_string(policy);
+        << "budget " << budget;
+    EXPECT_EQ(hash_u32(r.resampled), gc.resampled_hash) << "budget " << budget;
     ASSERT_TRUE(r.state_pool);
-    EXPECT_EQ(hash_states(*r.state_pool), gc.states_hash) << to_string(policy);
+    EXPECT_EQ(hash_states(*r.state_pool), gc.states_hash)
+        << "budget " << budget;
     EXPECT_EQ(r.state_count(), r.diag.unique_resampled);
-    if (policy == CapturePolicy::kInline) {
+    if (inline_capture) {
       // No replay pass: end states fell out of the weighted sweep.
       EXPECT_LT(r.diag.checkpoint_seconds, 0.10);
     }
@@ -152,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
         // ABM hashes re-captured when the event-driven engine landed: the
         // default "abm" backend is now the fast engine and seed_exposed
         // draws via partial Fisher-Yates, so the realization (not the
-        // mechanics under test) changed. Both capture policies still must
+        // mechanics under test) changed. Both capture paths still must
         // agree bit for bit on these values.
         GoldenCase{"abm", 4000, 12, 0x178a394aca327b30ull,
                    0xf9143588101a3743ull, 0x4e3e06c856e7f69bull}),
@@ -176,24 +183,24 @@ TEST(WindowGolden, SequentialWindowsAndForecastMatchPreRefactor) {
   sim_spec.initial_exposed = 1500;
   const auto sim = api::simulators().create("seir-event", sim_spec);
 
-  for (const CapturePolicy policy :
-       {CapturePolicy::kInline, CapturePolicy::kDeferredReplay}) {
+  for (const std::size_t budget : {kInlineBudget, kReplayBudget}) {
     CalibrationConfig cfg;
     cfg.windows = {{20, 26}, {27, 33}};
     cfg.n_params = 40;
     cfg.replicates = 2;
     cfg.resample_size = 80;
     cfg.seed = 777;
-    cfg.capture = policy;
+    cfg.inline_state_budget = budget;
     SequentialCalibrator cal(*sim, shared_truth().observed(), cfg);
     cal.run_all();
     const WindowResult& w2 = cal.results()[1];
+    EXPECT_EQ(w2.diag.inline_capture, budget == kInlineBudget);
     EXPECT_EQ(hash_doubles(w2.ensemble.log_weight), 0x06d450bd2c167afeull)
-        << to_string(policy);
+        << "budget " << budget;
     EXPECT_EQ(hash_u32(w2.resampled), 0x3cfbf74168d1bc17ull)
-        << to_string(policy);
+        << "budget " << budget;
     EXPECT_EQ(hash_states(*w2.state_pool), 0x81fdac2ddf58a7a8ull)
-        << to_string(policy);
+        << "budget " << budget;
     EXPECT_EQ(w2.state_count(), 8u);
 
     const Forecast fc = posterior_forecast(*sim, w2, 40, 16, 2024);
@@ -204,7 +211,7 @@ TEST(WindowGolden, SequentialWindowsAndForecastMatchPreRefactor) {
     for (const auto& row : fc.deaths) {
       h = fnv(h, row.data(), row.size() * sizeof(double));
     }
-    EXPECT_EQ(h, 0xd6fd29700d0ed64cull) << to_string(policy);
+    EXPECT_EQ(h, 0xd6fd29700d0ed64cull) << "budget " << budget;
   }
 }
 
@@ -300,10 +307,10 @@ TEST(StatePoolTest, CaptureSinkRequiresPoolSpanningTheRange) {
 }
 
 // ---------------------------------------------------------------------------
-// CapturePolicy::kAuto resolves by state size against the inline budget.
+// The capture path is resolved by state size against the inline budget.
 // ---------------------------------------------------------------------------
 
-TEST(CapturePolicyTest, AutoSwitchesToDeferredUnderTightBudget) {
+TEST(CaptureBudgetTest, TightBudgetSwitchesToSurvivorReplay) {
   EpiSimulatorConfig cfg;
   cfg.params.population = 100000;
   cfg.initial_exposed = 500;
@@ -319,7 +326,6 @@ TEST(CapturePolicyTest, AutoSwitchesToDeferredUnderTightBudget) {
   spec.replicates = 2;
   spec.resample_size = 24;
   spec.seed = 5;
-  spec.capture = CapturePolicy::kAuto;
 
   spec.inline_state_budget = std::size_t{1} << 40;  // effectively unlimited
   const WindowResult inline_r = run_importance_window(
@@ -327,13 +333,13 @@ TEST(CapturePolicyTest, AutoSwitchesToDeferredUnderTightBudget) {
       prior_proposal());
   EXPECT_TRUE(inline_r.diag.inline_capture);
 
-  spec.inline_state_budget = 1;  // nothing fits: forced deferred replay
+  spec.inline_state_budget = 1;  // nothing fits: survivor replay
   const WindowResult deferred_r = run_importance_window(
       sim, lik, bias, shared_truth().observed(), parents, spec,
       prior_proposal());
   EXPECT_FALSE(deferred_r.diag.inline_capture);
 
-  // Policy changes capture mechanics only, never results.
+  // The budget changes capture mechanics only, never results.
   ASSERT_EQ(inline_r.state_count(), deferred_r.state_count());
   EXPECT_EQ(hash_states(*inline_r.state_pool),
             hash_states(*deferred_r.state_pool));
@@ -378,7 +384,7 @@ TEST(StatePoolTest, CheckpointPoolBridgesRunWindowOnlySimulators) {
   spec.replicates = 2;
   spec.resample_size = 16;
   spec.seed = 31;
-  spec.capture = CapturePolicy::kInline;
+  spec.inline_state_budget = kInlineBudget;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
 

@@ -1,6 +1,8 @@
 // Binary archive: round-trips for PODs, strings and vectors; header
-// validation; truncation detection; durable (fsync + checksummed-footer)
-// file save/load with a typed error taxonomy.
+// validation; truncation detection, including corrupt element counts that
+// must fail typed before a loader allocates from them; the byte layout of
+// the per-window records; durable (fsync + checksummed-footer) file
+// save/load with a typed error taxonomy.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "core/particle_system.hpp"
+#include "core/posterior.hpp"
+#include "epi/schedule.hpp"
 #include "io/binary_archive.hpp"
 
 namespace {
@@ -329,6 +333,106 @@ TEST(Archive, SmcDiagnosticsRoundTripsFieldByField) {
   bad.write(0.0);
   BinaryReader bad_in(bad.bytes());
   EXPECT_THROW((void)SmcDiagnostics::deserialize(bad_in), ArchiveError);
+}
+
+// --- Element counts a loader allocates from. -------------------------------
+
+void expect_truncated(BinaryReader& in, void (*load)(BinaryReader&)) {
+  try {
+    load(in);
+    FAIL() << "a corrupt count was accepted";
+  } catch (const ArchiveError& e) {
+    EXPECT_EQ(e.kind(), ArchiveErrorKind::kTruncated) << e.what();
+  }
+}
+
+TEST(Archive, ReadCountRejectsCountsThatCannotFit) {
+  BinaryWriter out;
+  out.write(std::uint64_t{3});
+  out.write(std::uint64_t{0});
+  out.write(std::uint64_t{0});
+  out.write(std::uint64_t{0});
+  {
+    BinaryReader in(out.bytes());
+    EXPECT_EQ(in.read_count(8), 3u);  // 24 bytes left: three fit exactly
+  }
+  BinaryReader in(out.bytes());
+  expect_truncated(in, [](BinaryReader& r) { (void)r.read_count(9); });
+}
+
+TEST(Archive, SmcDiagnosticsHugeStageCountIsTruncated) {
+  BinaryWriter out(epismc::core::SmcDiagnostics::kArchiveVersion);
+  out.write(std::uint8_t{0});  // strategy
+  out.write(std::uint8_t{0});  // triggered
+  out.write(0.0);
+  out.write(0.0);
+  out.write(0.0);
+  out.write(std::uint64_t{1} << 60);  // stage count
+  BinaryReader in(out.bytes());
+  expect_truncated(in, [](BinaryReader& r) {
+    (void)epismc::core::SmcDiagnostics::deserialize(r);
+  });
+}
+
+TEST(Archive, PiecewiseScheduleHugeSegmentCountIsTruncated) {
+  BinaryWriter out;
+  out.write(~std::uint64_t{0});  // segment count 2^64 - 1
+  BinaryReader in(out.bytes());
+  expect_truncated(in, [](BinaryReader& r) {
+    (void)epismc::epi::PiecewiseSchedule::deserialize(r);
+  });
+}
+
+// --- Per-window record layout. ------------------------------------------------
+//
+// The stream checkpoint and the sweep cell archive both carry these
+// records; the hash pins their byte image (header + WindowPosteriorSummary
+// + WindowDiagnostics) so a reordered or resized field fails here instead
+// of silently breaking archives already on disk.
+TEST(Archive, WindowRecordByteImageIsPinned) {
+  using epismc::core::ParameterSummary;
+  using epismc::core::WindowDiagnostics;
+  using epismc::core::WindowPosteriorSummary;
+
+  WindowPosteriorSummary w;
+  w.from_day = 20;
+  w.to_day = 33;
+  w.theta = {0.25, 0.015625, 0.25, {0.1875, 0.3125}, {0.125, 0.375}};
+  w.rho = {0.75, 0.0625, 0.8125, {0.625, 0.875}, {0.5, 1.0}};
+  WindowDiagnostics d;
+  d.ess = 12.5;
+  d.perplexity = 0.25;
+  d.max_weight = 0.125;
+  d.log_marginal = -3.5;
+  d.unique_resampled = 7;
+  d.n_sims = 40;
+  d.propagate_seconds = 1.5;
+  d.checkpoint_seconds = 0.75;
+  d.inline_capture = true;
+
+  BinaryWriter out;
+  const std::size_t header = out.size();
+  w.serialize(out);
+  EXPECT_EQ(out.size() - header, WindowPosteriorSummary::kArchiveBytes);
+  d.serialize(out);
+  EXPECT_EQ(out.size() - header, WindowPosteriorSummary::kArchiveBytes +
+                                     WindowDiagnostics::kArchiveBytes);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const std::byte b : out.bytes()) {
+    h = (h ^ static_cast<std::uint8_t>(b)) * 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xa4a13b345fc1dda2ull);
+
+  BinaryReader in(out.bytes());
+  const WindowPosteriorSummary rw = WindowPosteriorSummary::deserialize(in);
+  const WindowDiagnostics rd = WindowDiagnostics::deserialize(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(rw.to_day, 33);
+  EXPECT_EQ(rw.theta.ci90.hi, 0.375);
+  EXPECT_EQ(rw.rho.ci50.lo, 0.625);
+  EXPECT_EQ(rd.n_sims, 40u);
+  EXPECT_EQ(rd.checkpoint_seconds, 0.75);
+  EXPECT_TRUE(rd.inline_capture);
 }
 
 }  // namespace

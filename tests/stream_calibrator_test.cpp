@@ -579,6 +579,16 @@ TEST(StreamCheckpoint, FixedArchiveFooterCrcIsPinned) {
 
 // --- StreamState archive. ---------------------------------------------------
 
+// The config fingerprint gates every resume, so its value is part of the
+// checkpoint format: a change would make existing stream checkpoints refuse
+// to resume. The field list includes a fixed placeholder where a retired
+// capture-policy setting used to be mixed in.
+TEST(StreamState, ConfigFingerprintOfDefaultConfigIsPinned) {
+  StreamConfig config;
+  config.calibration.windows = {{20, 33}, {34, 47}, {48, 61}, {62, 75}};
+  EXPECT_EQ(config_fingerprint(config), 0xc007aa931d98f009ull);
+}
+
 TEST(StreamState, RoundTripsFieldByField) {
   auto session = make_session(small_config(), "seir-event");
   StreamingCalibrator cal = session.stream();
@@ -704,6 +714,78 @@ TEST(StreamState, RejectsFutureArchiveVersion) {
         << e.what();
   }
   std::filesystem::remove(path);
+}
+
+// A sealed archive whose window-history count is corrupt fails typed as
+// kTruncated -- the kind resume_latest falls back on -- before the loader
+// reserves from the count.
+TEST(StreamState, HugeHistoryCountIsTruncatedNotAnAllocation) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    "epismc_stream_huge_count.bin";
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  out.write_string(StreamState::kArchiveTag);
+  out.write(std::uint64_t{0});       // config fingerprint
+  out.write_string("seir-event");    // simulator name
+  out.write(std::int32_t{20});       // cursor
+  out.write(std::uint8_t{1});        // any_assimilated
+  out.write(std::uint32_t{0});       // window_index
+  out.write(std::uint8_t{1});        // window_open
+  out.write(std::uint64_t{0});       // days_since_checkpoint
+  out.write(std::uint64_t{1} << 60);  // history count
+  out.save(path);
+
+  try {
+    (void)StreamState::load(path);
+    FAIL() << "corrupt history count was accepted";
+  } catch (const io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), io::ArchiveErrorKind::kTruncated) << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+// The byte image of a checkpoint holding one window record: the record
+// layout (window diagnostics, SMC trace, posterior summary) is shared with
+// the sweep cell archive and must not drift under an unchanged version.
+TEST(StreamState, WindowRecordArchiveBytesArePinned) {
+  StreamState st;
+  st.config_fingerprint = 0x0123456789ABCDEFull;
+  st.simulator_name = "seir-event";
+  stream::StreamWindowRecord w;
+  w.from_day = 20;
+  w.to_day = 33;
+  w.diag.ess = 12.5;
+  w.diag.perplexity = 0.25;
+  w.diag.max_weight = 0.125;
+  w.diag.log_marginal = -3.5;
+  w.diag.unique_resampled = 7;
+  w.diag.n_sims = 40;
+  w.diag.propagate_seconds = 1.5;
+  w.diag.checkpoint_seconds = 0.75;
+  w.diag.inline_capture = true;
+  w.smc.stages = {{1.0, 12.5, -3.5}};
+  w.summary.from_day = 20;
+  w.summary.to_day = 33;
+  w.summary.theta.mean = 0.25;
+  w.summary.theta.ci90 = {0.125, 0.375};
+  w.summary.rho.median = 0.8125;
+  w.summary.rho.ci50 = {0.625, 0.875};
+  st.history.push_back(w);
+
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  st.serialize(out);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const std::byte b : out.bytes()) {
+    h = (h ^ static_cast<std::uint8_t>(b)) * 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xcbf691c980c65093ull);
+
+  io::BinaryReader in(std::vector<std::byte>(out.bytes()));
+  const StreamState back = StreamState::deserialize(in);
+  EXPECT_TRUE(in.exhausted());
+  ASSERT_EQ(back.history.size(), 1u);
+  EXPECT_EQ(back.history[0].diag.n_sims, 40u);
+  EXPECT_EQ(back.history[0].summary.theta.ci90.hi, 0.375);
+  EXPECT_EQ(back.history[0].summary.rho.ci50.lo, 0.625);
 }
 
 TEST(StreamState, RejectsForeignArchiveTag) {
