@@ -79,7 +79,7 @@ int run(const epismc::io::Args& args) {
     cfg.resample_size = 2 * n_sims;
     cfg.likelihood_name = "gaussian-sqrt";
     cfg.likelihood_parameter = sigma;
-    cfg.inference = api::inference_strategies().create(strategy).strategy;
+    cfg.inference = api::inference_strategies().create(strategy);
     if (threshold > 0.0) cfg.ess_threshold = threshold;
     return cfg;
   };

@@ -97,21 +97,15 @@ InferenceRegistry& inference_strategies() {
     InferenceRegistry r("inference-strategy registry");
     // The paper's scheme: one importance-sampling stage per window.
     // Bit-identical to the historical path (the golden tests pin it).
-    r.add("single-stage", [] {
-      return InferencePolicy{core::InferenceStrategy::kSingleStage, 0.5, 12,
-                             1};
-    });
+    r.add("single-stage",
+          [] { return core::InferenceStrategy::kSingleStage; });
     // ESS-triggered adaptive tempering: pure re-weighting of the cached
     // log-likelihoods through a bisected likelihood^phi ladder.
-    r.add("tempered", [] {
-      return InferencePolicy{core::InferenceStrategy::kTempered, 0.5, 12, 1};
-    });
-    // Tempering plus one PMMH-style independence-rejuvenation round on
-    // the final posterior draws (extra propagation, better diversity).
-    r.add("tempered+rejuvenate", [] {
-      return InferencePolicy{core::InferenceStrategy::kTemperedRejuvenate,
-                             0.5, 12, 1};
-    });
+    r.add("tempered", [] { return core::InferenceStrategy::kTempered; });
+    // Tempering plus independence-rejuvenation rounds on the final
+    // posterior draws (extra propagation, better diversity).
+    r.add("tempered+rejuvenate",
+          [] { return core::InferenceStrategy::kTemperedRejuvenate; });
     // Shell-friendly spelling ('+' needs quoting in some shells).
     r.alias("tempered-rejuvenate", "tempered+rejuvenate");
     return r;

@@ -80,23 +80,12 @@ struct JitterPolicy {
   core::JitterKernel rho;
 };
 
-/// A named inference configuration: the window strategy plus its adaptive
-/// knobs (core::CalibrationConfig defaults). CalibrationSession applies
-/// the whole policy; with_ess_threshold / with_rejuvenation_moves then
-/// override individual knobs.
-struct InferencePolicy {
-  core::InferenceStrategy strategy = core::InferenceStrategy::kSingleStage;
-  double ess_threshold = 0.5;
-  std::size_t max_temper_stages = 12;
-  std::size_t rejuvenation_moves = 1;
-};
-
 using SimulatorRegistry =
     Registry<std::unique_ptr<core::Simulator>, const SimulatorSpec&>;
 using LikelihoodRegistry = Registry<std::unique_ptr<core::Likelihood>, double>;
 using BiasModelRegistry = Registry<std::unique_ptr<core::BiasModel>>;
 using JitterRegistry = Registry<JitterPolicy>;
-using InferenceRegistry = Registry<InferencePolicy>;
+using InferenceRegistry = Registry<core::InferenceStrategy>;
 
 /// Global registries; built-ins are registered on first access. Safe for
 /// concurrent create()/contains() once registration has finished.

@@ -107,7 +107,6 @@ ScenarioRegistry& scenarios() {
           "Ground truth generated by the memoryless chain-binomial engine "
           "under the paper schedules; calibrating seir-event against it "
           "probes model mis-specification";
-      p.scenario.use_chain_binomial = true;
       p.truth_engine = ScenarioPreset::TruthEngine::kChainBinomial;
       return p;
     });

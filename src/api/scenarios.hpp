@@ -36,7 +36,8 @@
 namespace epismc::api {
 
 struct ScenarioPreset {
-  /// Engine that generates the ground-truth realization.
+  /// Engine that generates the ground-truth realization. The only engine
+  /// selector: make_truth() overwrites scenario.use_chain_binomial from it.
   enum class TruthEngine { kSeirEvent, kChainBinomial, kAgentBased };
 
   std::string name;

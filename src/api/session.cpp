@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "parallel/parallel.hpp"
-#include "simd/simd.hpp"
-
 namespace epismc::api {
 
 void CalibrationSession::require_unbuilt(const char* call) const {
@@ -53,12 +50,8 @@ CalibrationSession& CalibrationSession::with_data(core::ObservedData data) {
 
 CalibrationSession& CalibrationSession::with_abm_engine(
     const std::string& engine_name) {
-  return with_abm_engine(abm::engine_from_name(engine_name));
-}
-
-CalibrationSession& CalibrationSession::with_abm_engine(abm::AbmEngine engine) {
   require_unbuilt("with_abm_engine");
-  abm_engine_ = engine;
+  abm_engine_ = abm::engine_from_name(engine_name);
   return *this;
 }
 
@@ -87,14 +80,6 @@ CalibrationSession& CalibrationSession::with_likelihood(const std::string& name,
   return *this;
 }
 
-CalibrationSession& CalibrationSession::with_death_likelihood(
-    const std::string& name, double parameter) {
-  require_unbuilt("with_death_likelihood");
-  config_.death_likelihood_name = name;
-  config_.death_likelihood_parameter = parameter;
-  return *this;
-}
-
 CalibrationSession& CalibrationSession::with_bias(const std::string& name) {
   require_unbuilt("with_bias");
   config_.bias_name = name;
@@ -113,31 +98,10 @@ CalibrationSession& CalibrationSession::with_seed(std::uint64_t seed) {
   return *this;
 }
 
-CalibrationSession& CalibrationSession::with_resampling(
-    stats::ResamplingScheme scheme) {
-  require_unbuilt("with_resampling");
-  config_.scheme = scheme;
-  return *this;
-}
-
 CalibrationSession& CalibrationSession::with_inference(
-    const std::string& policy_name) {
-  return with_inference(inference_strategies().create(policy_name));
-}
-
-CalibrationSession& CalibrationSession::with_inference(InferencePolicy policy) {
+    const std::string& strategy_name) {
   require_unbuilt("with_inference");
-  config_.inference = policy.strategy;
-  config_.ess_threshold = policy.ess_threshold;
-  config_.max_temper_stages = policy.max_temper_stages;
-  config_.rejuvenation_moves = policy.rejuvenation_moves;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_inference(
-    core::InferenceStrategy strategy) {
-  require_unbuilt("with_inference");
-  config_.inference = strategy;
+  config_.inference = inference_strategies().create(strategy_name);
   return *this;
 }
 
@@ -156,26 +120,8 @@ CalibrationSession& CalibrationSession::with_rejuvenation_moves(
 
 CalibrationSession& CalibrationSession::with_on_degenerate(
     const std::string& policy_name) {
-  return with_on_degenerate(core::degeneracy_policy_from_name(policy_name));
-}
-
-CalibrationSession& CalibrationSession::with_on_degenerate(
-    core::DegeneracyPolicy policy) {
   require_unbuilt("with_on_degenerate");
-  config_.on_degenerate = policy;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_common_random_numbers(bool crn) {
-  require_unbuilt("with_common_random_numbers");
-  config_.common_random_numbers = crn;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_defensive_fraction(
-    double fraction) {
-  require_unbuilt("with_defensive_fraction");
-  config_.defensive_fraction = fraction;
+  config_.on_degenerate = core::degeneracy_policy_from_name(policy_name);
   return *this;
 }
 
@@ -185,48 +131,6 @@ CalibrationSession& CalibrationSession::with_jitter(
   const JitterPolicy policy = jitter_policies().create(policy_name);
   config_.theta_jitter = policy.theta;
   config_.rho_jitter = policy.rho;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_jitter(core::JitterKernel theta,
-                                                    core::JitterKernel rho) {
-  require_unbuilt("with_jitter");
-  config_.theta_jitter = theta;
-  config_.rho_jitter = rho;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_burnin_day(std::int32_t day) {
-  require_unbuilt("with_burnin_day");
-  config_.burnin_day = day;
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_simd_level(
-    const std::string& level_name) {
-  require_unbuilt("with_simd_level");
-  // Takes effect immediately (the dispatcher is process-global); the
-  // unbuilt guard keeps the fluent contract uniform -- all with_* calls
-  // precede the first run.
-  simd::set_level(level_name);
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_pool_backend(
-    const std::string& backend_name) {
-  require_unbuilt("with_pool_backend");
-  // Same shape as with_simd_level: process-global engine selection, no
-  // effect on results (backends are bit-identical by contract).
-  parallel::set_backend(backend_name);
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_priors(
-    std::shared_ptr<const core::Prior> theta,
-    std::shared_ptr<const core::Prior> rho) {
-  require_unbuilt("with_priors");
-  config_.theta_prior = std::move(theta);
-  config_.rho_prior = std::move(rho);
   return *this;
 }
 
@@ -247,13 +151,7 @@ CalibrationSession& CalibrationSession::with_progress(
   return *this;
 }
 
-void CalibrationSession::build() {
-  if (calibrator_) return;
-  // Validate the staged config (windows, budget, component names) before
-  // simulating any ground truth: a typo'd likelihood must not cost a full
-  // agent-based truth run first. SequentialCalibrator validates again on
-  // construction; the duplicate check is cheap.
-  config_.validate();
+void CalibrationSession::materialize_data() {
   if (preset_ && !data_) {
     truth_ = preset_->make_truth();
     data_ = truth_->observed();
@@ -263,11 +161,27 @@ void CalibrationSession::build() {
         "CalibrationSession: no data -- call with_scenario() or with_data() "
         "before running");
   }
+}
+
+void CalibrationSession::materialize_simulator() {
+  if (simulator_) return;
+  // Explicit spec override first, then the scenario preset's, then defaults.
   SimulatorSpec spec = spec_override_ ? *spec_override_
                        : preset_      ? preset_->simulator_spec()
                                       : SimulatorSpec{};
   if (abm_engine_) spec.abm.engine = *abm_engine_;
   simulator_ = simulators().create(simulator_name_, spec);
+}
+
+void CalibrationSession::build() {
+  if (calibrator_) return;
+  // Validate the staged config (windows, budget, component names) before
+  // simulating any ground truth: a typo'd likelihood must not cost a full
+  // agent-based truth run first. SequentialCalibrator validates again on
+  // construction; the duplicate check is cheap.
+  config_.validate();
+  materialize_data();
+  materialize_simulator();
   calibrator_ = std::make_unique<core::SequentialCalibrator>(*simulator_,
                                                              *data_, config_);
   calibrator_->set_progress(progress_);
@@ -275,15 +189,7 @@ void CalibrationSession::build() {
 
 stream::StreamingCalibrator CalibrationSession::stream(StreamOptions options) {
   config_.validate();
-  if (!simulator_) {
-    // Identical simulator resolution to build(): explicit spec override
-    // first, then the scenario preset's, then defaults.
-    SimulatorSpec spec = spec_override_ ? *spec_override_
-                         : preset_      ? preset_->simulator_spec()
-                                        : SimulatorSpec{};
-    if (abm_engine_) spec.abm.engine = *abm_engine_;
-    simulator_ = simulators().create(simulator_name_, spec);
-  }
+  materialize_simulator();
   streamed_ = true;
   stream::StreamConfig stream_config;
   stream_config.calibration = config_;
@@ -309,15 +215,7 @@ supervise::SupervisionReport CalibrationSession::supervised(
   // Materialize the feed in the parent: every attempt's forked child
   // inherits the same observations copy-on-write instead of re-simulating
   // ground truth per retry.
-  if (preset_ && !data_) {
-    truth_ = preset_->make_truth();
-    data_ = truth_->observed();
-  }
-  if (!data_) {
-    throw std::logic_error(
-        "CalibrationSession::supervised: no data -- call with_scenario() or "
-        "with_data() first");
-  }
+  materialize_data();
   if (sup.report_path.empty()) {
     sup.report_path = options.checkpoint_path.string() + ".supervision";
   }

@@ -20,6 +20,15 @@
 // simulator and calibrator. After that point further with_* calls throw --
 // a session is one run, not a mutable sweep (ScenarioSweep does sweeps).
 //
+// Each knob has one setter. The with_* calls below cover the components
+// chosen by registry name and the knobs the examples and benches turn;
+// every other core::CalibrationConfig field (priors, resampling scheme,
+// death likelihood, defensive fraction, burn-in day, common random
+// numbers, ...) is set on a config passed to with_config. Process-wide
+// engine switches are not session state: the thread count, the SIMD level
+// and the parallel_for backend belong to parallel::set_threads,
+// simd::set_level and parallel::set_backend (or --threads/--simd/--pool).
+//
 // Wiring is value-identical to hand construction: a session with the same
 // config and seed reproduces a hand-wired SequentialCalibrator bit for bit
 // (api_session_test locks this in).
@@ -78,56 +87,33 @@ class CalibrationSession {
   /// whatever SimulatorSpec the session ends up with (explicit spec or
   /// scenario-derived). Ignored by the compartmental backends.
   CalibrationSession& with_abm_engine(const std::string& engine_name);
-  CalibrationSession& with_abm_engine(abm::AbmEngine engine);
 
-  // --- Calibration knobs (mirror core::CalibrationConfig). -----------------
+  // --- Calibration knobs (each writes core::CalibrationConfig fields). ----
   CalibrationSession& with_windows(
       std::vector<std::pair<std::int32_t, std::int32_t>> windows);
   CalibrationSession& with_budget(std::size_t n_params, std::size_t replicates,
                                   std::size_t resample_size);
   CalibrationSession& with_likelihood(const std::string& name,
                                       double parameter);
-  CalibrationSession& with_death_likelihood(const std::string& name,
-                                            double parameter);
   CalibrationSession& with_bias(const std::string& name);
   CalibrationSession& with_deaths(bool use = true);
   CalibrationSession& with_seed(std::uint64_t seed);
-  CalibrationSession& with_resampling(stats::ResamplingScheme scheme);
   /// Window inference strategy by registry name ("single-stage" |
-  /// "tempered" | "tempered+rejuvenate"): applies the policy's strategy
-  /// and adaptive defaults. Call with_ess_threshold /
-  /// with_rejuvenation_moves afterwards to override individual knobs.
-  CalibrationSession& with_inference(const std::string& policy_name);
-  CalibrationSession& with_inference(InferencePolicy policy);
-  CalibrationSession& with_inference(core::InferenceStrategy strategy);
+  /// "tempered" | "tempered+rejuvenate"). Sets only the strategy: the
+  /// ess_threshold, max_temper_stages and rejuvenation_moves already staged
+  /// (defaults, with_config, or the setters below) are kept, in whatever
+  /// order the calls come.
+  CalibrationSession& with_inference(const std::string& strategy_name);
   /// Temper trigger/target as a fraction of n_sims, in (0, 1).
   CalibrationSession& with_ess_threshold(double fraction);
   CalibrationSession& with_rejuvenation_moves(std::size_t rounds);
   /// Non-finite log-likelihood policy by name ("quarantine" | "throw");
   /// see core::DegeneracyPolicy.
   CalibrationSession& with_on_degenerate(const std::string& policy_name);
-  CalibrationSession& with_on_degenerate(core::DegeneracyPolicy policy);
-  CalibrationSession& with_common_random_numbers(bool crn);
-  CalibrationSession& with_defensive_fraction(double fraction);
+  /// Posterior-jitter kernels by registry name (jitter_policies()).
   CalibrationSession& with_jitter(const std::string& policy_name);
-  CalibrationSession& with_jitter(core::JitterKernel theta,
-                                  core::JitterKernel rho);
-  CalibrationSession& with_burnin_day(std::int32_t day);
-  /// SIMD dispatch level for the vectorized kernels ("scalar" | "sse41" |
-  /// "avx2" | "avx512" | "auto"). Applied process-wide immediately (the
-  /// dispatcher is global state, like the thread count); levels above
-  /// what the binary/host supports clamp down rather than fail. The
-  /// default is the scalar reference path -- see docs/API.md "SIMD kernels
-  /// & ISA dispatch" for the determinism contract.
-  CalibrationSession& with_simd_level(const std::string& level_name);
-  /// parallel_for backend ("serial" | "pool"). Applied process-wide
-  /// immediately, same global-state caveat as with_simd_level.
-  /// Results are bit-identical across backends -- this selects the engine,
-  /// not the answer. See docs/API.md "Task pool & thread scaling".
-  CalibrationSession& with_pool_backend(const std::string& backend_name);
-  CalibrationSession& with_priors(std::shared_ptr<const core::Prior> theta,
-                                  std::shared_ptr<const core::Prior> rho);
-  /// Wholesale config replacement (escape hatch for ported call sites).
+  /// Wholesale config replacement: the way to set any CalibrationConfig
+  /// field that has no setter above. Later with_* calls edit the result.
   CalibrationSession& with_config(core::CalibrationConfig config);
   /// Liveness/progress hook, beaten per window (batch) or per day
   /// (streaming). Composes with the supervision heartbeat when the
@@ -196,6 +182,12 @@ class CalibrationSession {
 
  private:
   void require_unbuilt(const char* call) const;
+  /// Simulate the preset's ground truth unless data is already staged;
+  /// throws std::logic_error when the session has neither.
+  void materialize_data();
+  /// Resolve the simulator spec (explicit override, else the preset's,
+  /// else defaults; then the ABM engine) and create the simulator once.
+  void materialize_simulator();
   void build();  // idempotent
 
   std::string simulator_name_ = "seir-event";

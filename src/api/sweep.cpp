@@ -149,17 +149,19 @@ ScenarioSweep& ScenarioSweep::with_progress(core::ProgressReporter progress) {
   return *this;
 }
 
-std::vector<SweepRun> ScenarioSweep::run_all() const {
+struct ScenarioSweep::ScenarioTruth {
+  ScenarioPreset preset;
+  core::GroundTruth truth;
+};
+
+std::vector<ScenarioSweep::ScenarioTruth> ScenarioSweep::simulate_truths()
+    const {
   if (scenario_names_.empty() || simulator_names_.empty()) {
     throw std::logic_error(
         "ScenarioSweep: need at least one scenario and one simulator");
   }
-
-  // Ground truths once per scenario, shared read-only by every backend cell.
-  struct ScenarioTruth {
-    ScenarioPreset preset;
-    core::GroundTruth truth;
-  };
+  // Ground truths once per scenario, serially, shared read-only by every
+  // backend cell (and inherited copy-on-write by supervised children).
   std::vector<ScenarioTruth> truths;
   truths.reserve(scenario_names_.size());
   for (const auto& name : scenario_names_) {
@@ -167,54 +169,54 @@ std::vector<SweepRun> ScenarioSweep::run_all() const {
     core::GroundTruth truth = preset.make_truth();
     truths.push_back({std::move(preset), std::move(truth)});
   }
+  return truths;
+}
 
-  const std::size_t n_sims = simulator_names_.size();
+// Seeds derive from (sweep seed, scenario *name*), never from list position
+// or thread id, so reordering scenarios or simulators reproduces every cell
+// exactly and the same backend sees the same randomness in every scenario.
+std::uint64_t ScenarioSweep::scenario_seed(std::size_t si) const {
+  std::uint64_t h = seed_;
+  for (const char c : scenario_names_[si]) {
+    h = rng::hash_combine(h, static_cast<std::uint64_t>(c));
+  }
+  return h;
+}
+
+void ScenarioSweep::run_cell(const std::vector<ScenarioTruth>& truths,
+                             std::size_t cell,
+                             core::ProgressReporter progress,
+                             SweepRun& out) const {
+  // Cells are scenario-major: cell = scenario index * backends + backend.
+  const std::size_t si = cell / simulator_names_.size();
+  const std::size_t bi = cell % simulator_names_.size();
+  const ScenarioTruth& st = truths[si];
+  out.scenario = scenario_names_[si];
+  out.simulator = simulator_names_[bi];
+
+  CalibrationSession session;
+  session.with_simulator(simulator_names_[bi], st.preset.simulator_spec())
+      .with_data(st.truth.observed())
+      .with_windows(windows_)
+      .with_budget(n_params_, replicates_, resample_size_)
+      .with_likelihood(likelihood_name_, likelihood_parameter_)
+      .with_deaths(use_deaths_)
+      .with_seed(scenario_seed(si));
+  if (session_setup_) session_setup_(session);
+  session.with_progress(std::move(progress));
+  session.run_all();
+
+  for (const auto& w : session.results()) {
+    out.windows.push_back(core::summarize_window(w));
+    out.diagnostics.push_back(w.diag);
+    out.truth_theta.push_back(st.truth.theta_at(w.from_day));
+    out.truth_rho.push_back(st.truth.rho_at(w.from_day));
+  }
+}
+
+std::vector<SweepRun> ScenarioSweep::run_all() const {
+  const std::vector<ScenarioTruth> truths = simulate_truths();
   std::vector<SweepRun> runs(cell_count());
-
-  // One cell per (scenario, simulator), scenario-major. Seeds derive from
-  // (sweep seed, scenario *name*), never from list position or thread id,
-  // so reordering scenarios or simulators reproduces every cell exactly
-  // and the same backend sees the same randomness in every scenario.
-  const auto scenario_seed = [this](std::size_t si) {
-    std::uint64_t h = seed_;
-    for (const char c : scenario_names_[si]) {
-      h = rng::hash_combine(h, static_cast<std::uint64_t>(c));
-    }
-    return h;
-  };
-  const auto run_cell = [&](std::size_t cell) {
-        const std::size_t si = cell / n_sims;   // scenario index
-        const std::size_t bi = cell % n_sims;   // backend index
-        const ScenarioTruth& st = truths[si];
-        SweepRun& out = runs[cell];
-        out.scenario = scenario_names_[si];
-        out.simulator = simulator_names_[bi];
-
-        parallel::Timer timer;
-        try {
-          CalibrationSession session;
-          session.with_simulator(simulator_names_[bi], st.preset.simulator_spec())
-              .with_data(st.truth.observed())
-              .with_windows(windows_)
-              .with_budget(n_params_, replicates_, resample_size_)
-              .with_likelihood(likelihood_name_, likelihood_parameter_)
-              .with_deaths(use_deaths_)
-              .with_seed(scenario_seed(si));
-          if (session_setup_) session_setup_(session);
-          session.with_progress(progress_);
-          session.run_all();
-
-          for (const auto& w : session.results()) {
-            out.windows.push_back(core::summarize_window(w));
-            out.diagnostics.push_back(w.diag);
-            out.truth_theta.push_back(st.truth.theta_at(w.from_day));
-            out.truth_rho.push_back(st.truth.rho_at(w.from_day));
-          }
-        } catch (const std::exception& e) {
-          out.error = e.what();
-        }
-        out.wall_seconds = timer.seconds();
-  };
 
   // Both levels go through the pool's hierarchical submit: the outer cell
   // loop runs on the pool and each cell's inner particle loops nest onto
@@ -224,33 +226,30 @@ std::vector<SweepRun> ScenarioSweep::run_all() const {
   // takes parallel_for's serial fast path and leaves the lanes to its
   // particle loops. Results do not depend on placement: both loops are
   // index-deterministic.
-  parallel::parallel_for(runs.size(), run_cell, /*chunk=*/1);
+  parallel::parallel_for(
+      runs.size(),
+      [&](std::size_t cell) {
+        SweepRun& out = runs[cell];
+        parallel::Timer timer;
+        try {
+          run_cell(truths, cell, progress_, out);
+        } catch (const std::exception& e) {
+          out.error = e.what();
+        }
+        out.wall_seconds = timer.seconds();
+      },
+      /*chunk=*/1);
 
   return runs;
 }
 
 ScenarioSweep::SupervisedSweep ScenarioSweep::run_supervised(
     supervise::SupervisorOptions sup) const {
-  if (scenario_names_.empty() || simulator_names_.empty()) {
-    throw std::logic_error(
-        "ScenarioSweep: need at least one scenario and one simulator");
-  }
-
-  // Ground truths once, in the parent, serially: every child inherits
-  // them copy-on-write. (The parent no longer has to stay out of parallel
-  // regions: the supervisor tears pool workers down before each fork and
-  // both sides respawn lazily -- see parallel::prepare_fork.)
-  struct ScenarioTruth {
-    ScenarioPreset preset;
-    core::GroundTruth truth;
-  };
-  std::vector<ScenarioTruth> truths;
-  truths.reserve(scenario_names_.size());
-  for (const auto& name : scenario_names_) {
-    ScenarioPreset preset = scenarios().create(name);
-    core::GroundTruth truth = preset.make_truth();
-    truths.push_back({std::move(preset), std::move(truth)});
-  }
+  // Truths in the parent: every child inherits them copy-on-write. The
+  // parent may run parallel work here: the supervisor tears pool workers
+  // down before each fork and both sides respawn lazily (see
+  // parallel::prepare_fork).
+  const std::vector<ScenarioTruth> truths = simulate_truths();
 
   // Cell results cross the process boundary through sealed archives in a
   // directory that outlives the supervisor's own scratch space.
@@ -261,57 +260,25 @@ ScenarioSweep::SupervisedSweep ScenarioSweep::run_supervised(
           : std::filesystem::path(sup.report_path.string() + ".cells");
   std::error_code dir_ec;
   std::filesystem::create_directories(cells_dir, dir_ec);
-
-  const std::size_t n_sims = simulator_names_.size();
-  const auto scenario_seed = [this](std::size_t si) {
-    std::uint64_t h = seed_;
-    for (const char c : scenario_names_[si]) {
-      h = rng::hash_combine(h, static_cast<std::uint64_t>(c));
-    }
-    return h;
+  const auto result_path = [&cells_dir](std::size_t cell) {
+    return cells_dir / ("cell" + std::to_string(cell) + ".result");
   };
 
+  const std::size_t n_sims = simulator_names_.size();
   supervise::Supervisor supervisor(std::move(sup));
   for (std::size_t cell = 0; cell < cell_count(); ++cell) {
-    const std::size_t si = cell / n_sims;
-    const std::size_t bi = cell % n_sims;
-    const std::filesystem::path result_path =
-        cells_dir / ("cell" + std::to_string(cell) + ".result");
-
     supervise::SupervisedTask task;
-    task.name = "cell:" + scenario_names_[si] + "/" + simulator_names_[bi];
+    task.name = "cell:" + scenario_names_[cell / n_sims] + "/" +
+                simulator_names_[cell % n_sims];
     task.kind = "sweep-cell";
-    task.body = [this, &truths, si, bi, cell, scenario_seed,
-                 result_path](supervise::TaskContext& ctx) -> int {
-      const ScenarioTruth& st = truths[si];
+    task.body = [this, &truths, cell,
+                 path = result_path(cell)](supervise::TaskContext& ctx) -> int {
       SweepRun out;
-      out.scenario = scenario_names_[si];
-      out.simulator = simulator_names_[bi];
-
       parallel::Timer timer;
-      CalibrationSession session;
-      session
-          .with_simulator(simulator_names_[bi], st.preset.simulator_spec())
-          .with_data(st.truth.observed())
-          .with_windows(windows_)
-          .with_budget(n_params_, replicates_, resample_size_)
-          .with_likelihood(likelihood_name_, likelihood_parameter_)
-          .with_deaths(use_deaths_)
-          .with_seed(scenario_seed(si));
-      if (session_setup_) session_setup_(session);
-      session.with_progress(
-          core::ProgressReporter::chain(progress_, ctx.progress()));
-      session.run_all();
-
-      for (const auto& w : session.results()) {
-        out.windows.push_back(core::summarize_window(w));
-        out.diagnostics.push_back(w.diag);
-        out.truth_theta.push_back(st.truth.theta_at(w.from_day));
-        out.truth_rho.push_back(st.truth.rho_at(w.from_day));
-      }
+      run_cell(truths, cell,
+               core::ProgressReporter::chain(progress_, ctx.progress()), out);
       out.wall_seconds = timer.seconds();
-      write_sweep_run(out, result_path);
-      (void)cell;
+      write_sweep_run(out, path);
       return 0;
     };
     supervisor.add_task(std::move(task));
@@ -322,14 +289,11 @@ ScenarioSweep::SupervisedSweep ScenarioSweep::run_supervised(
 
   result.runs.resize(cell_count());
   for (std::size_t cell = 0; cell < cell_count(); ++cell) {
-    const std::size_t si = cell / n_sims;
-    const std::size_t bi = cell % n_sims;
     SweepRun& out = result.runs[cell];
     const supervise::TaskReport& task = result.report.tasks[cell];
     if (task.ok()) {
       try {
-        out = read_sweep_run(cells_dir /
-                             ("cell" + std::to_string(cell) + ".result"));
+        out = read_sweep_run(result_path(cell));
         continue;
       } catch (const io::ArchiveError& e) {
         out.error = std::string("supervision: result archive unreadable (") +
@@ -340,8 +304,8 @@ ScenarioSweep::SupervisedSweep ScenarioSweep::run_supervised(
                   " after " + std::to_string(task.attempts.size()) +
                   " attempt(s)";
     }
-    out.scenario = scenario_names_[si];
-    out.simulator = simulator_names_[bi];
+    out.scenario = scenario_names_[cell / n_sims];
+    out.simulator = simulator_names_[cell % n_sims];
     out.wall_seconds = task.wall_seconds;
   }
 

@@ -104,6 +104,17 @@ class ScenarioSweep {
       supervise::SupervisorOptions sup = {}) const;
 
  private:
+  struct ScenarioTruth;  // a preset and its simulated ground truth
+
+  /// One ground truth per scenario; throws std::logic_error when the sweep
+  /// has no scenario or no simulator.
+  [[nodiscard]] std::vector<ScenarioTruth> simulate_truths() const;
+  [[nodiscard]] std::uint64_t scenario_seed(std::size_t si) const;
+  /// Calibrate one (scenario, simulator) cell into `out`; whatever the
+  /// session throws propagates. run_all and each supervised child share it.
+  void run_cell(const std::vector<ScenarioTruth>& truths, std::size_t cell,
+                core::ProgressReporter progress, SweepRun& out) const;
+
   std::vector<std::string> scenario_names_;
   std::vector<std::string> simulator_names_;
   std::vector<std::pair<std::int32_t, std::int32_t>> windows_ = {

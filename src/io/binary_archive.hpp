@@ -92,7 +92,13 @@ class BinaryWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x45534D43u;  // "ESMC"
 
-  explicit BinaryWriter(std::uint32_t version = 1) { write_header(version); }
+  explicit BinaryWriter(std::uint32_t version = 1) {
+    // One allocation up front for the header and the first small fields.
+    // It also keeps GCC 12 from flagging the header insert into a
+    // zero-capacity vector as -Wstringop-overflow.
+    buffer_.reserve(64);
+    write_header(version);
+  }
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>

@@ -13,9 +13,9 @@
 //  * binomial_lanes / score_* change the draw-stream discipline (counter
 //    -segmented sites) or last-ulp accumulation order, so they engage only
 //    when a level is selected explicitly: EPISMC_SIMD=scalar|sse41|avx2|
-//    avx512|auto, the --simd CLI flag, or CalibrationSession::
-//    with_simd_level. The default is the scalar reference engine, keeping
-//    results machine-independent out of the box (determinism first).
+//    avx512|auto, the --simd CLI flag, or simd::set_level. The default is
+//    the scalar reference engine, keeping results machine-independent out
+//    of the box (determinism first).
 //
 // Selecting a level the host cannot run falls back cleanly to the best
 // supported level below it. Within the vector family the lane kernels are

@@ -102,6 +102,30 @@ TEST(Session, GranularBuildersEqualWithConfig) {
             granular.results().back().posterior_thetas());
 }
 
+TEST(Session, InferenceNameKeepsStagedTemperKnobs) {
+  api::CalibrationSession session;
+  session.with_ess_threshold(0.7)
+      .with_rejuvenation_moves(3)
+      .with_inference("tempered+rejuvenate");
+  EXPECT_EQ(session.config().inference,
+            InferenceStrategy::kTemperedRejuvenate);
+  EXPECT_DOUBLE_EQ(session.config().ess_threshold, 0.7);
+  EXPECT_EQ(session.config().rejuvenation_moves, 3u);
+}
+
+TEST(Session, InferenceNameKeepsConfigTemperKnobs) {
+  CalibrationConfig cfg = small_config();
+  cfg.ess_threshold = 0.3;
+  cfg.max_temper_stages = 5;
+  cfg.rejuvenation_moves = 4;
+  api::CalibrationSession session;
+  session.with_config(cfg).with_inference("tempered");
+  EXPECT_EQ(session.config().inference, InferenceStrategy::kTempered);
+  EXPECT_DOUBLE_EQ(session.config().ess_threshold, 0.3);
+  EXPECT_EQ(session.config().max_temper_stages, 5u);
+  EXPECT_EQ(session.config().rejuvenation_moves, 4u);
+}
+
 TEST(Session, ScenarioPresetProvidesTruthAndData) {
   api::ScenarioPreset preset = api::scenarios().create("paper-baseline");
   preset.scenario.params.population = 250000;
