@@ -56,4 +56,22 @@ void EnsembleBuffer::store_tail(Series which, std::size_t s,
   std::copy(tail.begin(), tail.end(), series(which, s).begin());
 }
 
+void EnsembleBuffer::copy_row(std::size_t to, const EnsembleBuffer& src,
+                              std::size_t from, std::size_t days) {
+  if (days > window_len_ || days > src.window_len_) {
+    throw std::out_of_range("EnsembleBuffer::copy_row: " +
+                            std::to_string(days) + " days exceed a row");
+  }
+  param_index[to] = src.param_index[from];
+  replicate[to] = src.replicate[from];
+  parent[to] = src.parent[from];
+  theta[to] = src.theta[from];
+  rho[to] = src.rho[from];
+  seed[to] = src.seed[from];
+  stream[to] = src.stream[from];
+  std::copy_n(src.true_cases(from).begin(), days, true_cases(to).begin());
+  std::copy_n(src.obs_cases(from).begin(), days, obs_cases(to).begin());
+  std::copy_n(src.deaths(from).begin(), days, deaths(to).begin());
+}
+
 }  // namespace epismc::core

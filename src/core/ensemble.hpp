@@ -76,6 +76,19 @@ class EnsembleBuffer {
   void store_tail(Series which, std::size_t s,
                   std::span<const double> full_series);
 
+  /// Copy row `from` of `src` into row `to`: the seven identity columns
+  /// (param_index, replicate, parent, theta, rho, seed, stream) and the
+  /// first `days` days of each series; log_weight is left alone. The one
+  /// row copy behind resampling, replays and checkpoint prefixes; throws
+  /// std::out_of_range when `days` exceeds either row.
+  void copy_row(std::size_t to, const EnsembleBuffer& src, std::size_t from,
+                std::size_t days = 0);
+
+  /// A whole day-major series matrix: size() rows of window_len() days.
+  [[nodiscard]] std::span<double> matrix(Series which) {
+    return {series(which, 0).data(), n_sims_ * window_len_};
+  }
+
   // --- Flat per-sim columns (all sized size() by resize()). ----------------
   std::vector<std::uint32_t> param_index;  // which (theta, rho) draw
   std::vector<std::uint32_t> replicate;    // which replicate seed

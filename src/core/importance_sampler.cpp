@@ -90,19 +90,6 @@ void run_temper_ladder(const EnsembleBuffer& ens, const WindowSpec& spec,
   result.diag.log_marginal = log_marginal;
 }
 
-// Copies row `from` of `src` into row `to` of `dst`, identity columns only:
-// what run_batch reads to regenerate the trajectory, plus its labels.
-void copy_identity(const EnsembleBuffer& src, std::size_t from,
-                   EnsembleBuffer& dst, std::size_t to) {
-  dst.param_index[to] = src.param_index[from];
-  dst.replicate[to] = src.replicate[from];
-  dst.parent[to] = src.parent[from];
-  dst.theta[to] = src.theta[from];
-  dst.rho[to] = src.rho[from];
-  dst.seed[to] = src.seed[from];
-  dst.stream[to] = src.stream[from];
-}
-
 // Re-runs rows `rows` of `src` from their identity columns through the
 // window with end-state capture into `pool` (resized to rows.size(), slot
 // k for rows[k]). Counter-based streams make each replay bit-identical to
@@ -115,7 +102,7 @@ void replay_with_capture(const Simulator& sim, const StatePool& parents,
                          const char* what) {
   EnsembleBuffer replay(rows.size(), src.window_len());
   for (std::size_t k = 0; k < rows.size(); ++k) {
-    copy_identity(src, rows[k], replay, k);
+    replay.copy_row(k, src, rows[k]);
   }
   pool.resize(rows.size());
   BatchSink sink;
@@ -223,15 +210,7 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
         overlay.theta[i] = prop.theta[i];
         overlay.rho[i] = prop.rho[i];
         cur_ll[i] = prop.log_weight[i];
-        copy_identity(prop, i, scratch, i);
-        for (const auto which :
-             {EnsembleBuffer::Series::kTrueCases,
-              EnsembleBuffer::Series::kObsCases,
-              EnsembleBuffer::Series::kDeaths}) {
-          const std::span<const double> src = prop.series(which, i);
-          const std::span<double> dst = scratch.series(which, i);
-          std::copy(src.begin(), src.end(), dst.begin());
-        }
+        scratch.copy_row(i, prop, i, window_len);
         ++accepted;
       }
     }
@@ -252,13 +231,7 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
   for (std::size_t k = 0; k < moved_ids.size(); ++k) {
     const std::uint32_t i = moved_ids[k];
     overlay.series_row[i] = static_cast<std::uint32_t>(k);
-    for (const auto which :
-         {EnsembleBuffer::Series::kTrueCases, EnsembleBuffer::Series::kObsCases,
-          EnsembleBuffer::Series::kDeaths}) {
-      const std::span<const double> src = scratch.series(which, i);
-      const std::span<double> dst = overlay.series.series(which, k);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
+    overlay.series.copy_row(k, scratch, i, window_len);
   }
   if (!moved_ids.empty()) {
     const std::shared_ptr<StatePool> moved_pool = sim.make_pool();

@@ -89,9 +89,11 @@ struct StreamWindowRecord {
   core::WindowPosteriorSummary summary;
 };
 
-/// Snapshot of a streaming session; see the header comment. Field groups
-/// mirror StreamingCalibrator's members. `open-window` fields are
-/// meaningful only when `window_open` is set.
+/// Snapshot of a streaming session; see the header comment. The
+/// `open-window` fields are the calibrator's open-window record (its
+/// ensemble prefix flattened to n_sims x days rows) and are meaningful
+/// only when `window_open` is set; StreamingCalibrator::restore checks
+/// their shape before it commits.
 struct StreamState {
   // v2: per-day demoted counts, open-window degenerate-draw flags
   // (fault-tolerant degeneracy handling).

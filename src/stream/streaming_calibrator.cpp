@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/importance_sampler.hpp"
@@ -38,6 +39,105 @@ void encode_states(const core::StatePool& pool,
   });
 }
 
+[[noreturn]] void corrupt(const std::string& what) {
+  throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                         "StreamingCalibrator::restore: " + what);
+}
+
+void check_length(const char* field, std::size_t got, std::size_t want) {
+  if (got != want) {
+    corrupt(std::string(field) + " holds " + std::to_string(got) +
+            " entries, expected " + std::to_string(want));
+  }
+}
+
+/// The shape restore() relies on before it builds anything: window index,
+/// flags, posterior, cursor and the per-sim vectors that are not copied
+/// through for_each_per_sim_field (whose lengths are checked as they are
+/// copied). Each violation is a corrupt checkpoint naming the field.
+void check_shape(const StreamState& st, const core::CalibrationConfig& cal) {
+  const std::size_t n_windows = cal.windows.size();
+  if (st.window_index > n_windows ||
+      (st.window_index == n_windows && st.window_open)) {
+    corrupt("window_index " + std::to_string(st.window_index) +
+            (st.window_open ? " (open)" : "") + " is outside the config's " +
+            std::to_string(n_windows) + " windows");
+  }
+  if (st.has_initial != (st.window_index > 0 || st.window_open)) {
+    corrupt("has_initial disagrees with window_index " +
+            std::to_string(st.window_index));
+  }
+  if (st.has_posterior != (st.window_index > 0)) {
+    corrupt("has_posterior disagrees with window_index " +
+            std::to_string(st.window_index));
+  }
+  const core::PosteriorDraws& post = st.posterior;
+  if (st.has_posterior && post.theta.empty()) corrupt("posterior is empty");
+  check_length("posterior rho", post.rho.size(), post.theta.size());
+  check_length("posterior parent_slot", post.parent_slot.size(),
+               post.theta.size());
+  for (const std::uint32_t slot : post.parent_slot) {
+    if (slot >= st.parent_pool.size()) {
+      corrupt("posterior parent_slot " + std::to_string(slot) +
+              " is past the " + std::to_string(st.parent_pool.size()) +
+              "-state parent_pool");
+    }
+  }
+  if (!st.window_open) return;
+
+  const std::size_t n = cal.n_params * cal.replicates;
+  if (st.n_sims != n) {
+    corrupt("n_sims is " + std::to_string(st.n_sims) +
+            " but the config budgets " + std::to_string(n));
+  }
+  const auto [from, to] = cal.windows[st.window_index];
+  const std::size_t days = st.obs_cases.size();
+  if (days == 0 || days >= static_cast<std::size_t>(to - from + 1)) {
+    corrupt("obs_cases holds " + std::to_string(days) +
+            " days, but an open window [" + std::to_string(from) + ", " +
+            std::to_string(to) + "] has 1 to " + std::to_string(to - from) +
+            " days done");
+  }
+  check_length("obs_deaths", st.obs_deaths.size(), cal.use_deaths ? days : 0);
+  const auto last_day = static_cast<std::int32_t>(from + days - 1);
+  if (!st.any_assimilated || st.cursor != last_day) {
+    corrupt("cursor is day " + std::to_string(st.cursor) +
+            " but the open window's last assimilated day is " +
+            std::to_string(last_day));
+  }
+  check_length("bias_stream", st.bias_stream.size(), n);
+  check_length("bias_position", st.bias_position.size(), n);
+  check_length("cloud", st.cloud.size(), n);
+}
+
+/// Calls f(field, archived, live) for every per-sim vector a StreamState
+/// keeps of an open window, paired with where it lives in the session:
+/// the seven identity columns and three series of `prefix` (the window's
+/// assimilated days as an n_sims x days EnsembleBuffer), then the
+/// accumulators and quarantine flags of the open-window record. snapshot()
+/// and restore() both walk this one list.
+template <typename State, typename Window, typename F>
+void for_each_per_sim_field(State& st, Window& w, core::EnsembleBuffer& prefix,
+                            F&& f) {
+  using Series = core::EnsembleBuffer::Series;
+  f("param_index", st.param_index, prefix.param_index);
+  f("replicate", st.replicate, prefix.replicate);
+  f("parent", st.parent, prefix.parent);
+  f("theta", st.theta, prefix.theta);
+  f("rho", st.rho, prefix.rho);
+  f("seed", st.seed, prefix.seed);
+  f("stream", st.stream, prefix.stream);
+  f("true_cases_prefix", st.true_cases_prefix,
+    prefix.matrix(Series::kTrueCases));
+  f("obs_cases_prefix", st.obs_cases_prefix, prefix.matrix(Series::kObsCases));
+  f("deaths_prefix", st.deaths_prefix, prefix.matrix(Series::kDeaths));
+  f("case_acc", st.case_acc, w.case_acc);
+  f("death_acc", st.death_acc, w.death_acc);
+  f("full_case_acc", st.full_case_acc, w.full_case_acc);
+  f("full_death_acc", st.full_death_acc, w.full_death_acc);
+  f("degenerate_draw", st.degenerate_draw, w.degen);
+}
+
 }  // namespace
 
 StreamingCalibrator::StreamingCalibrator(const core::Simulator& sim,
@@ -57,7 +157,7 @@ StreamingCalibrator::StreamingCalibrator(const core::Simulator& sim,
 std::int32_t StreamingCalibrator::next_expected_day() const {
   const auto& windows = config_.calibration.windows;
   if (finished()) return windows.back().second + 1;
-  if (window_open_) return cursor_ + 1;
+  if (win_) return cursor_ + 1;
   return windows[window_index_].first;
 }
 
@@ -98,83 +198,78 @@ const StreamDayRecord& StreamingCalibrator::ingest(
   }
 
   fault::hit("stream-ingest");
-  if (!window_open_) open_window();
+  if (!win_) open_window();
   assimilate_day(obs);
   cursor_ = obs.day;
   any_assimilated_ = true;
-  if (cursor_ == spec_.to_day) finalize_window();
+  if (cursor_ == win_->spec.to_day) finalize_window();
   maybe_checkpoint();
   progress_.beat();
   return days_.back();
 }
 
-void StreamingCalibrator::open_window() {
+StreamingCalibrator::OpenWindow StreamingCalibrator::make_window(
+    std::uint32_t m, const core::StatePool& parents,
+    const std::shared_ptr<const core::PosteriorDraws>& prev) const {
   const core::CalibrationConfig& cal = config_.calibration;
-  const std::size_t m = window_index_;
-  spec_ = core::make_window_spec(cal, m);
   const std::size_t n = n_sims();
+  OpenWindow w;
+  w.spec = core::make_window_spec(cal, m);
+  w.propose = m == 0 ? core::make_prior_proposal(cal, needs_rho_)
+                     : core::make_posterior_proposal(cal, prev, needs_rho_);
+  w.ens.resize(n, static_cast<std::size_t>(w.spec.to_day - w.spec.from_day + 1));
+  core::detail::layout_window_ensemble(w.spec, parents, w.propose, w.ens);
+  w.day_ens.resize(n, 1);
+  for (std::size_t s = 0; s < n; ++s) w.day_ens.copy_row(s, w.ens, s);
+  w.cloud = sim_.make_pool();
+  w.cloud->resize(n);
+  w.case_acc.assign(n, 0.0);
+  w.death_acc.assign(n, 0.0);
+  w.full_case_acc.assign(n, 0.0);
+  w.full_death_acc.assign(n, 0.0);
+  w.degen.assign(n, 0);
+  w.bias_eng.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    w.bias_eng.push_back(core::detail::bias_engine(w.spec, w.ens.param_index[s],
+                                                   w.ens.replicate[s]));
+  }
+  w.ps.reset(n);
+  w.lw_scratch.assign(n, 0.0);
+  return w;
+}
 
-  if (m == 0) {
+std::shared_ptr<core::StatePool> StreamingCalibrator::load_pool(
+    std::span<const epi::Checkpoint> states) const {
+  auto pool = sim_.make_pool();
+  pool->resize(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    pool->set_from_checkpoint(i, states[i]);
+  }
+  return pool;
+}
+
+void StreamingCalibrator::open_window() {
+  if (window_index_ == 0) {
     // Shared burn-in state, same identity as SequentialCalibrator's.
+    const core::CalibrationConfig& cal = config_.calibration;
     initial_ckpt_ = sim_.initial_state(
         cal.burnin_day, rng::hash_combine(cal.seed, 0x494E4954ull));
     has_initial_ = true;
-    auto pool = sim_.make_pool();
-    pool->resize(1);
-    pool->set_from_checkpoint(0, initial_ckpt_);
-    parents_ = std::move(pool);
-    propose_ = core::make_prior_proposal(cal, needs_rho_);
-  } else {
-    propose_ = core::make_posterior_proposal(cal, prev_draws_, needs_rho_);
+    parents_ = load_pool({&initial_ckpt_, 1});
   }
-
-  const auto window_len =
-      static_cast<std::size_t>(spec_.to_day - spec_.from_day + 1);
-  win_ens_.resize(n, window_len);
-  core::detail::layout_window_ensemble(spec_, *parents_, propose_, win_ens_);
-
-  day_ens_.resize(n, 1);
-  day_ens_.param_index = win_ens_.param_index;
-  day_ens_.replicate = win_ens_.replicate;
-  day_ens_.parent = win_ens_.parent;
-  day_ens_.theta = win_ens_.theta;
-  day_ens_.rho = win_ens_.rho;
-  day_ens_.seed = win_ens_.seed;
-  day_ens_.stream = win_ens_.stream;
-
-  cloud_ = sim_.make_pool();
-  cloud_->resize(n);
-
-  win_obs_cases_.clear();
-  win_obs_deaths_.clear();
-  case_acc_.assign(n, 0.0);
-  death_acc_.assign(n, 0.0);
-  full_case_acc_.assign(n, 0.0);
-  full_death_acc_.assign(n, 0.0);
-  bias_eng_.clear();
-  bias_eng_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    bias_eng_.push_back(core::detail::bias_engine(
-        spec_, win_ens_.param_index[s], win_ens_.replicate[s]));
-  }
-  log_marginal_acc_ = 0.0;
-  midwindow_resamples_ = 0;
-  propagate_seconds_ = 0.0;
-  win_degen_.assign(n, 0);
-  ps_.reset(n);
-  lw_scratch_.assign(n, 0.0);
-  window_open_ = true;
+  win_.emplace(make_window(window_index_, *parents_, prev_draws_));
 }
 
 void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
   parallel::Timer day_timer;
+  OpenWindow& w = *win_;
   const std::size_t n = n_sims();
   const bool use_deaths = config_.calibration.use_deaths;
   const std::int32_t day = obs.day;
-  const std::size_t k = win_obs_cases_.size();  // day offset in the window
+  const std::size_t k = w.obs_cases.size();  // day offset in the window
 
-  win_obs_cases_.push_back(obs.cases);
-  if (use_deaths) win_obs_deaths_.push_back(*obs.deaths);
+  w.obs_cases.push_back(obs.cases);
+  if (use_deaths) w.obs_deaths.push_back(*obs.deaths);
 
   // One-day observation caches: the built-in likelihoods fold per-day
   // terms left to right, so day caches scored and summed in day order are
@@ -193,31 +288,31 @@ void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
   // degeneracy must abort before any accumulator mutates, and the
   // quarantine demotion happens in one serial pass below (per-sim the
   // day-ordered fold is unchanged, so healthy windows stay bit-identical).
-  day_case_term_.assign(n, 0.0);
-  if (use_deaths) day_death_term_.assign(n, 0.0);
-  day_degen_.assign(n, 0);
+  w.day_case_term.assign(n, 0.0);
+  if (use_deaths) w.day_death_term.assign(n, 0.0);
+  w.day_degen.assign(n, 0);
 
   core::BatchSink sink;
   sink.on_sim = [&](std::size_t s) {
     // The bias engine persists across days and its draws are consumed
     // day-sequentially, so the per-day applies concatenate to exactly one
     // whole-window apply_into.
-    bias_->apply_into(bias_eng_[s], day_ens_.true_cases(s), win_ens_.rho[s],
-                      day_ens_.obs_cases(s));
+    bias_->apply_into(w.bias_eng[s], w.day_ens.true_cases(s), w.ens.rho[s],
+                      w.day_ens.obs_cases(s));
     const double case_term =
-        likelihood_->logpdf(case_cache, day_ens_.obs_cases(s));
-    day_case_term_[s] = case_term;
+        likelihood_->logpdf(case_cache, w.day_ens.obs_cases(s));
+    w.day_case_term[s] = case_term;
     bool bad = core::detail::nonfinite_score(case_term);
     if (use_deaths) {
       const double death_term =
-          death_likelihood_->logpdf(death_cache, day_ens_.deaths(s));
-      day_death_term_[s] = death_term;
+          death_likelihood_->logpdf(death_cache, w.day_ens.deaths(s));
+      w.day_death_term[s] = death_term;
       bad = bad || core::detail::nonfinite_score(death_term);
     }
-    if (bad) day_degen_[s] = 1;
-    win_ens_.true_cases(s)[k] = day_ens_.true_cases(s)[0];
-    win_ens_.obs_cases(s)[k] = day_ens_.obs_cases(s)[0];
-    win_ens_.deaths(s)[k] = day_ens_.deaths(s)[0];
+    if (bad) w.day_degen[s] = 1;
+    w.ens.true_cases(s)[k] = w.day_ens.true_cases(s)[0];
+    w.ens.obs_cases(s)[k] = w.day_ens.obs_cases(s)[0];
+    w.ens.deaths(s)[k] = w.day_ens.deaths(s)[0];
   };
 
   parallel::Timer prop_timer;
@@ -225,32 +320,33 @@ void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
     // First day: copy-branch from the parent states exactly like the
     // batch weighted pass (same seed/stream/theta columns), truncated at
     // from_day, and capture each live model into the cloud.
-    sink.capture = cloud_.get();
-    sim_.run_batch(*parents_, day, day_ens_, 0, n, sink);
+    sink.capture = w.cloud.get();
+    sim_.run_batch(*parents_, day, w.day_ens, 0, n, sink);
   } else {
     // Later days: continue each pooled model in place. Typed backends
     // keep their engine positions (bit-identical to one long run); the
     // io-boundary default re-branches onto the fresh per-day stream set
     // here (distribution-correct).
-    const auto w = static_cast<std::uint64_t>(spec_.window_index);
+    const auto wi = static_cast<std::uint64_t>(w.spec.window_index);
     const auto d = static_cast<std::uint64_t>(day);
     for (std::size_t s = 0; s < n; ++s) {
-      day_ens_.parent[s] = static_cast<std::uint32_t>(s);
-      day_ens_.stream[s] = rng::make_stream_id({kStreamModelTag, w, d, s}).key;
+      w.day_ens.parent[s] = static_cast<std::uint32_t>(s);
+      w.day_ens.stream[s] =
+          rng::make_stream_id({kStreamModelTag, wi, d, s}).key;
     }
-    sim_.advance_batch(*cloud_, day, day_ens_, 0, n, sink);
+    sim_.advance_batch(*w.cloud, day, w.day_ens, 0, n, sink);
   }
-  propagate_seconds_ += prop_timer.seconds();
+  w.propagate_seconds += prop_timer.seconds();
 
   const core::DegeneracyReport day_report =
-      core::detail::collect_degenerate(day_degen_);
+      core::detail::collect_degenerate(w.day_degen);
   if (day_report.any() &&
-      spec_.on_degenerate == core::DegeneracyPolicy::kThrow) {
+      w.spec.on_degenerate == core::DegeneracyPolicy::kThrow) {
     // No accumulator has been touched yet, so the session stays restorable
     // from its last checkpoint.
     core::detail::throw_degenerate(
         "streaming day " + std::to_string(day) + " (window " +
-            std::to_string(spec_.window_index) + ")",
+            std::to_string(w.spec.window_index) + ")",
         day_report);
   }
 
@@ -260,33 +356,33 @@ void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
   // the batch whole-window demotion on quarantined ones (-inf either way).
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   for (std::size_t s = 0; s < n; ++s) {
-    double case_term = day_case_term_[s];
+    double case_term = w.day_case_term[s];
     if (core::detail::nonfinite_score(case_term)) case_term = kNegInf;
-    case_acc_[s] += case_term;
-    full_case_acc_[s] += case_term;
+    w.case_acc[s] += case_term;
+    w.full_case_acc[s] += case_term;
     if (use_deaths) {
-      double death_term = day_death_term_[s];
+      double death_term = w.day_death_term[s];
       if (core::detail::nonfinite_score(death_term)) death_term = kNegInf;
-      death_acc_[s] += death_term;
-      full_death_acc_[s] += death_term;
+      w.death_acc[s] += death_term;
+      w.full_death_acc[s] += death_term;
     }
-    win_degen_[s] = static_cast<std::uint8_t>(win_degen_[s] | day_degen_[s]);
+    w.degen[s] = static_cast<std::uint8_t>(w.degen[s] | w.day_degen[s]);
   }
 
   for (std::size_t s = 0; s < n; ++s) {
-    lw_scratch_[s] =
-        use_deaths ? case_acc_[s] + death_acc_[s] : case_acc_[s];
+    w.lw_scratch[s] =
+        use_deaths ? w.case_acc[s] + w.death_acc[s] : w.case_acc[s];
   }
-  ps_.commit(lw_scratch_);
+  w.ps.commit(w.lw_scratch);
 
   StreamDayRecord rec;
   rec.day = day;
-  rec.window = spec_.window_index;
+  rec.window = w.spec.window_index;
   rec.demoted = static_cast<std::uint32_t>(day_report.demoted);
-  rec.log_marginal = ps_.log_marginal_increment();
+  rec.log_marginal = w.ps.log_marginal_increment();
   bool degenerate = false;
   try {
-    rec.ess = ps_.ess();
+    rec.ess = w.ps.ess();
   } catch (const std::domain_error&) {
     // Fully degenerate day: every since-resample weight is -inf. Coast to
     // the boundary, where resolve_window_posterior raises a precise,
@@ -296,10 +392,10 @@ void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
   }
 
   const bool adaptive =
-      spec_.inference != core::InferenceStrategy::kSingleStage;
+      w.spec.inference != core::InferenceStrategy::kSingleStage;
   if (adaptive && config_.resample_mid_window && !degenerate &&
-      day < spec_.to_day &&
-      rec.ess < spec_.ess_threshold * static_cast<double>(n)) {
+      day < w.spec.to_day &&
+      rec.ess < w.spec.ess_threshold * static_cast<double>(n)) {
     resample_cloud(day);
     rec.resampled = true;
   }
@@ -309,39 +405,27 @@ void StreamingCalibrator::assimilate_day(const DailyObservation& obs) {
 
 void StreamingCalibrator::resample_cloud(std::int32_t day) {
   fault::hit("resample");
+  OpenWindow& w = *win_;
   const std::size_t n = n_sims();
-  const auto w = static_cast<std::uint64_t>(spec_.window_index);
+  const auto wi = static_cast<std::uint64_t>(w.spec.window_index);
   const auto d = static_cast<std::uint64_t>(day);
 
   // Fold the evidence of the weights consumed by this resample; the
   // window's final log_marginal is this accumulator plus the tail commit.
-  log_marginal_acc_ += ps_.log_marginal_increment();
+  w.log_marginal_acc += w.ps.log_marginal_increment();
 
   rng::PhiloxEngine eng =
-      rng::make_engine(spec_.seed, {kStreamResampleTag, w, d});
-  const std::vector<std::uint32_t> anc = ps_.resample(spec_.scheme, eng, n);
+      rng::make_engine(w.spec.seed, {kStreamResampleTag, wi, d});
+  const std::vector<std::uint32_t> anc = w.ps.resample(w.spec.scheme, eng, n);
 
   // Redistribute the ensemble: identity/parameter columns plus the
   // already-assimilated series prefix follow the ancestor.
-  const std::size_t days_done = win_obs_cases_.size();
-  core::EnsembleBuffer next(n, win_ens_.window_len());
+  const std::size_t days_done = w.obs_cases.size();
+  core::EnsembleBuffer next(n, w.ens.window_len());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t a = anc[i];
-    next.param_index[i] = win_ens_.param_index[a];
-    next.replicate[i] = win_ens_.replicate[a];
-    next.parent[i] = win_ens_.parent[a];
-    next.theta[i] = win_ens_.theta[a];
-    next.rho[i] = win_ens_.rho[a];
-    next.seed[i] = win_ens_.seed[a];
-    next.stream[i] = win_ens_.stream[a];
-    const auto src_tc = win_ens_.true_cases(a);
-    const auto src_oc = win_ens_.obs_cases(a);
-    const auto src_de = win_ens_.deaths(a);
-    std::copy_n(src_tc.begin(), days_done, next.true_cases(i).begin());
-    std::copy_n(src_oc.begin(), days_done, next.obs_cases(i).begin());
-    std::copy_n(src_de.begin(), days_done, next.deaths(i).begin());
+    next.copy_row(i, w.ens, anc[i], days_done);
   }
-  win_ens_ = std::move(next);
+  w.ens = std::move(next);
 
   // Full-window accumulators follow the ancestor; the since-resample
   // accumulators restart at zero (the SMC weights from here on). The
@@ -350,64 +434,63 @@ void StreamingCalibrator::resample_cloud(std::int32_t day) {
   std::vector<double> fc(n), fd(n);
   std::vector<std::uint8_t> dg(n);
   for (std::size_t i = 0; i < n; ++i) {
-    fc[i] = full_case_acc_[anc[i]];
-    fd[i] = full_death_acc_[anc[i]];
-    dg[i] = win_degen_[anc[i]];
+    fc[i] = w.full_case_acc[anc[i]];
+    fd[i] = w.full_death_acc[anc[i]];
+    dg[i] = w.degen[anc[i]];
   }
-  full_case_acc_ = std::move(fc);
-  full_death_acc_ = std::move(fd);
-  win_degen_ = std::move(dg);
-  case_acc_.assign(n, 0.0);
-  death_acc_.assign(n, 0.0);
+  w.full_case_acc = std::move(fc);
+  w.full_death_acc = std::move(fd);
+  w.degen = std::move(dg);
+  w.case_acc.assign(n, 0.0);
+  w.death_acc.assign(n, 0.0);
 
   // Fresh per-particle identities from the resample day on: duplicated
   // ancestors must diverge, so each particle gets a new model stream (the
-  // pool re-branches in place) and a new bias stream.
+  // pool re-branches in place) and a new bias stream. The 1-day buffer's
+  // parent/stream columns are rewritten before the next day's advance.
   std::vector<std::uint64_t> streams(n);
   for (std::size_t i = 0; i < n; ++i) {
-    streams[i] = rng::make_stream_id({kStreamModelTag, w, d, i}).key;
-    bias_eng_[i] = rng::make_engine(spec_.seed, {kStreamBiasTag, w, d, i});
-    day_ens_.param_index[i] = win_ens_.param_index[i];
-    day_ens_.replicate[i] = win_ens_.replicate[i];
-    day_ens_.theta[i] = win_ens_.theta[i];
-    day_ens_.rho[i] = win_ens_.rho[i];
+    streams[i] = rng::make_stream_id({kStreamModelTag, wi, d, i}).key;
+    w.bias_eng[i] = rng::make_engine(w.spec.seed, {kStreamBiasTag, wi, d, i});
+    w.day_ens.copy_row(i, w.ens, i);
   }
-  sim_.resample_states(*cloud_, anc, spec_.seed, streams, win_ens_.theta);
-  ++midwindow_resamples_;
+  sim_.resample_states(*w.cloud, anc, w.spec.seed, streams, w.ens.theta);
+  ++w.midwindow_resamples;
 }
 
 void StreamingCalibrator::finalize_window() {
   fault::hit("window-boundary");
+  OpenWindow& w = *win_;
   const std::size_t n = n_sims();
   const bool use_deaths = config_.calibration.use_deaths;
 
   core::WindowResult result;
-  result.from_day = spec_.from_day;
-  result.to_day = spec_.to_day;
+  result.from_day = w.spec.from_day;
+  result.to_day = w.spec.to_day;
 
   // The ensemble's log-weight column carries the since-resample
   // accumulators -- the correct SMC weights for the boundary resolve (and
   // the full-window likelihood when no mid-window resample fired, making
   // the resolve input bit-identical to batch).
   for (std::size_t s = 0; s < n; ++s) {
-    win_ens_.log_weight[s] =
-        use_deaths ? case_acc_[s] + death_acc_[s] : case_acc_[s];
+    w.ens.log_weight[s] =
+        use_deaths ? w.case_acc[s] + w.death_acc[s] : w.case_acc[s];
   }
-  result.ensemble = std::move(win_ens_);
-  result.diag.propagate_seconds = propagate_seconds_;
+  result.ensemble = std::move(w.ens);
+  result.diag.propagate_seconds = w.propagate_seconds;
 
   const core::ObservationCache case_cache =
-      likelihood_->prepare(win_obs_cases_);
+      likelihood_->prepare(w.obs_cases);
   const core::ObservationCache death_cache =
-      use_deaths ? death_likelihood_->prepare(win_obs_deaths_)
+      use_deaths ? death_likelihood_->prepare(w.obs_deaths)
                  : core::ObservationCache{};
 
   // Full-window log-likelihoods for rejuvenation acceptance; identical to
   // the log-weight column unless a mid-window resample truncated it.
   std::vector<double> full_lw(n);
   for (std::size_t s = 0; s < n; ++s) {
-    full_lw[s] = use_deaths ? full_case_acc_[s] + full_death_acc_[s]
-                            : full_case_acc_[s];
+    full_lw[s] = use_deaths ? w.full_case_acc[s] + w.full_death_acc[s]
+                            : w.full_case_acc[s];
   }
 
   // The streaming path always captures inline: the cloud *is* the live
@@ -416,18 +499,18 @@ void StreamingCalibrator::finalize_window() {
   // never needed.
   core::detail::WindowPosteriorInputs inputs{
       sim_,        *likelihood_, *death_likelihood_, *bias_, *parents_,
-      spec_,       propose_,     case_cache,         death_cache,
+      w.spec,       w.propose,     case_cache,         death_cache,
       full_lw};
-  inputs.degeneracy = core::detail::collect_degenerate(win_degen_);
-  core::detail::resolve_window_posterior(inputs, cloud_,
+  inputs.degeneracy = core::detail::collect_degenerate(w.degen);
+  core::detail::resolve_window_posterior(inputs, w.cloud,
                                          /*inline_capture=*/true, result);
-  if (midwindow_resamples_ > 0) {
-    result.diag.log_marginal += log_marginal_acc_;
+  if (w.midwindow_resamples > 0) {
+    result.diag.log_marginal += w.log_marginal_acc;
   }
 
   StreamWindowRecord rec;
-  rec.from_day = spec_.from_day;
-  rec.to_day = spec_.to_day;
+  rec.from_day = w.spec.from_day;
+  rec.to_day = w.spec.to_day;
   rec.diag = result.diag;
   rec.smc = result.smc;
   rec.summary = core::summarize_window(result);
@@ -439,20 +522,7 @@ void StreamingCalibrator::finalize_window() {
   results_.push_back(std::move(result));
 
   ++window_index_;
-  close_window_members();
-}
-
-void StreamingCalibrator::close_window_members() {
-  window_open_ = false;
-  propose_ = nullptr;
-  cloud_.reset();
-  win_obs_cases_.clear();
-  win_obs_deaths_.clear();
-  bias_eng_.clear();
-  win_degen_.clear();
-  log_marginal_acc_ = 0.0;
-  midwindow_resamples_ = 0;
-  propagate_seconds_ = 0.0;
+  win_.reset();
 }
 
 void StreamingCalibrator::maybe_checkpoint() {
@@ -490,7 +560,7 @@ StreamState StreamingCalibrator::snapshot() const {
   st.cursor = cursor_;
   st.any_assimilated = any_assimilated_;
   st.window_index = window_index_;
-  st.window_open = window_open_;
+  st.window_open = win_.has_value();
   st.days_since_checkpoint = days_since_checkpoint_;
 
   st.history = history_;
@@ -504,48 +574,29 @@ StreamState StreamingCalibrator::snapshot() const {
     encode_states(*parents_, st.parent_pool);
   }
 
-  if (window_open_) {
+  if (win_) {
+    const OpenWindow& w = *win_;
     const std::size_t n = n_sims();
-    const std::size_t days_done = win_obs_cases_.size();
-    st.obs_cases = win_obs_cases_;
-    st.obs_deaths = win_obs_deaths_;
+    const std::size_t days = w.obs_cases.size();
+    core::EnsembleBuffer prefix(n, days);
+    for (std::size_t s = 0; s < n; ++s) prefix.copy_row(s, w.ens, s, days);
+    for_each_per_sim_field(st, w, prefix,
+                           [](const char*, auto& archived, const auto& live) {
+                             archived.assign(live.begin(), live.end());
+                           });
+    st.obs_cases = w.obs_cases;
+    st.obs_deaths = w.obs_deaths;
     st.n_sims = n;
-    st.param_index = win_ens_.param_index;
-    st.replicate = win_ens_.replicate;
-    st.parent = win_ens_.parent;
-    st.theta = win_ens_.theta;
-    st.rho = win_ens_.rho;
-    st.seed = win_ens_.seed;
-    st.stream = win_ens_.stream;
-    st.true_cases_prefix.reserve(n * days_done);
-    st.obs_cases_prefix.reserve(n * days_done);
-    st.deaths_prefix.reserve(n * days_done);
-    for (std::size_t s = 0; s < n; ++s) {
-      const auto tc = win_ens_.true_cases(s);
-      const auto oc = win_ens_.obs_cases(s);
-      const auto de = win_ens_.deaths(s);
-      st.true_cases_prefix.insert(st.true_cases_prefix.end(), tc.begin(),
-                                  tc.begin() + days_done);
-      st.obs_cases_prefix.insert(st.obs_cases_prefix.end(), oc.begin(),
-                                 oc.begin() + days_done);
-      st.deaths_prefix.insert(st.deaths_prefix.end(), de.begin(),
-                              de.begin() + days_done);
-    }
-    st.case_acc = case_acc_;
-    st.death_acc = death_acc_;
-    st.full_case_acc = full_case_acc_;
-    st.full_death_acc = full_death_acc_;
     st.bias_stream.reserve(n);
     st.bias_position.reserve(n);
-    for (const rng::PhiloxEngine& e : bias_eng_) {
+    for (const rng::PhiloxEngine& e : w.bias_eng) {
       st.bias_stream.push_back(e.stream_value());
       st.bias_position.push_back(e.position());
     }
-    encode_states(*cloud_, st.cloud);
-    st.log_marginal_acc = log_marginal_acc_;
-    st.midwindow_resamples = midwindow_resamples_;
-    st.propagate_seconds = propagate_seconds_;
-    st.degenerate_draw = win_degen_;
+    encode_states(*w.cloud, st.cloud);
+    st.log_marginal_acc = w.log_marginal_acc;
+    st.midwindow_resamples = w.midwindow_resamples;
+    st.propagate_seconds = w.propagate_seconds;
   }
   return st;
 }
@@ -563,111 +614,60 @@ void StreamingCalibrator::restore(const StreamState& state) {
         state.simulator_name + "', but this calibrator drives '" +
         sim_.name() + "'");
   }
+  check_shape(state, config_.calibration);
+
+  // Build the whole session into locals and commit by move at the end, so
+  // a corrupt field (or a state the simulator refuses) changes nothing.
+  std::shared_ptr<const core::PosteriorDraws> prev;
+  std::shared_ptr<core::StatePool> parents;
+  if (state.has_posterior) {
+    prev = std::make_shared<const core::PosteriorDraws>(state.posterior);
+    parents = load_pool(state.parent_pool);
+  } else if (state.has_initial) {
+    parents = load_pool({&state.initial, 1});
+  }
+  std::optional<OpenWindow> win;
+  if (state.window_open) {
+    OpenWindow& w =
+        win.emplace(make_window(state.window_index, *parents, prev));
+    const std::size_t n = n_sims();
+    const std::size_t days = state.obs_cases.size();
+    core::EnsembleBuffer prefix(n, days);
+    for_each_per_sim_field(
+        state, w, prefix,
+        [](const char* field, const auto& archived, auto&& live) {
+          check_length(field, archived.size(), live.size());
+          std::copy(archived.begin(), archived.end(), live.begin());
+        });
+    for (std::size_t s = 0; s < n; ++s) {
+      w.ens.copy_row(s, prefix, s, days);
+      w.day_ens.copy_row(s, prefix, s);
+      w.bias_eng[s] = rng::PhiloxEngine(w.spec.seed, state.bias_stream[s]);
+      w.bias_eng[s].set_position(state.bias_position[s]);
+      w.cloud->set_from_checkpoint(s, state.cloud[s]);
+    }
+    w.obs_cases = state.obs_cases;
+    w.obs_deaths = state.obs_deaths;
+    w.log_marginal_acc = state.log_marginal_acc;
+    w.midwindow_resamples = state.midwindow_resamples;
+    w.propagate_seconds = state.propagate_seconds;
+  }
+  std::vector<StreamWindowRecord> history = state.history;
+  std::vector<StreamDayRecord> days = state.days;
+  epi::Checkpoint initial = state.initial;
 
   cursor_ = state.cursor;
   any_assimilated_ = state.any_assimilated;
   window_index_ = state.window_index;
   days_since_checkpoint_ = state.days_since_checkpoint;
-  history_ = state.history;
-  days_ = state.days;
+  history_ = std::move(history);
+  days_ = std::move(days);
   results_.clear();  // full WindowResults are not archived (see results())
-
   has_initial_ = state.has_initial;
-  if (has_initial_) initial_ckpt_ = state.initial;
-  prev_draws_ = state.has_posterior
-                    ? std::make_shared<const core::PosteriorDraws>(
-                          state.posterior)
-                    : nullptr;
-
-  parents_.reset();
-  if (state.has_posterior) {
-    auto pool = sim_.make_pool();
-    pool->resize(state.parent_pool.size());
-    for (std::size_t p = 0; p < state.parent_pool.size(); ++p) {
-      pool->set_from_checkpoint(p, state.parent_pool[p]);
-    }
-    parents_ = std::move(pool);
-  } else if (has_initial_) {
-    auto pool = sim_.make_pool();
-    pool->resize(1);
-    pool->set_from_checkpoint(0, initial_ckpt_);
-    parents_ = std::move(pool);
-  }
-
-  close_window_members();
-  if (!state.window_open) return;
-
-  const core::CalibrationConfig& cal = config_.calibration;
-  spec_ = core::make_window_spec(cal, window_index_);
-  propose_ = window_index_ == 0
-                 ? core::make_prior_proposal(cal, needs_rho_)
-                 : core::make_posterior_proposal(cal, prev_draws_,
-                                                 needs_rho_);
-
-  const std::size_t n = n_sims();
-  if (state.n_sims != n) {
-    throw std::invalid_argument(
-        "StreamingCalibrator::restore: snapshot holds " +
-        std::to_string(state.n_sims) + " sims but the config budgets " +
-        std::to_string(n));
-  }
-  const auto window_len =
-      static_cast<std::size_t>(spec_.to_day - spec_.from_day + 1);
-  const std::size_t days_done = state.obs_cases.size();
-
-  win_ens_.resize(n, window_len);
-  win_ens_.param_index = state.param_index;
-  win_ens_.replicate = state.replicate;
-  win_ens_.parent = state.parent;
-  win_ens_.theta = state.theta;
-  win_ens_.rho = state.rho;
-  win_ens_.seed = state.seed;
-  win_ens_.stream = state.stream;
-  for (std::size_t s = 0; s < n; ++s) {
-    std::copy_n(state.true_cases_prefix.begin() + s * days_done, days_done,
-                win_ens_.true_cases(s).begin());
-    std::copy_n(state.obs_cases_prefix.begin() + s * days_done, days_done,
-                win_ens_.obs_cases(s).begin());
-    std::copy_n(state.deaths_prefix.begin() + s * days_done, days_done,
-                win_ens_.deaths(s).begin());
-  }
-
-  day_ens_.resize(n, 1);
-  day_ens_.param_index = win_ens_.param_index;
-  day_ens_.replicate = win_ens_.replicate;
-  day_ens_.parent = win_ens_.parent;
-  day_ens_.theta = win_ens_.theta;
-  day_ens_.rho = win_ens_.rho;
-  day_ens_.seed = win_ens_.seed;
-  day_ens_.stream = win_ens_.stream;
-
-  cloud_ = sim_.make_pool();
-  cloud_->resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    cloud_->set_from_checkpoint(s, state.cloud[s]);
-  }
-
-  win_obs_cases_ = state.obs_cases;
-  win_obs_deaths_ = state.obs_deaths;
-  case_acc_ = state.case_acc;
-  death_acc_ = state.death_acc;
-  full_case_acc_ = state.full_case_acc;
-  full_death_acc_ = state.full_death_acc;
-  bias_eng_.clear();
-  bias_eng_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    rng::PhiloxEngine e(spec_.seed, state.bias_stream[s]);
-    e.set_position(state.bias_position[s]);
-    bias_eng_.push_back(e);
-  }
-  log_marginal_acc_ = state.log_marginal_acc;
-  midwindow_resamples_ = state.midwindow_resamples;
-  propagate_seconds_ = state.propagate_seconds;
-  win_degen_ = state.degenerate_draw;
-  win_degen_.resize(n, 0);
-  ps_.reset(n);
-  lw_scratch_.assign(n, 0.0);
-  window_open_ = true;
+  initial_ckpt_ = std::move(initial);
+  prev_draws_ = std::move(prev);
+  parents_ = std::move(parents);
+  win_ = std::move(win);
 }
 
 void StreamingCalibrator::save(const std::filesystem::path& path) const {

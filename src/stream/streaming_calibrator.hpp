@@ -27,11 +27,15 @@
 //
 // The whole session serializes to a versioned StreamState archive
 // (snapshot()/save()); restore()/load() resumes bit-exactly on another
-// process, mid-window included.
+// process, mid-window included. Everything valid only while a window is
+// open lives in one OpenWindow record, which open_window() and restore()
+// build through the same make_window(); restore then overlays the
+// archived values, after checking the snapshot's shape.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/particle_system.hpp"
@@ -61,12 +65,12 @@ class StreamingCalibrator {
   [[nodiscard]] std::int32_t next_expected_day() const;
   /// Last assimilated day; throws std::logic_error before the first ingest.
   [[nodiscard]] std::int32_t last_assimilated_day() const;
-  [[nodiscard]] bool window_open() const noexcept { return window_open_; }
+  [[nodiscard]] bool window_open() const noexcept { return win_.has_value(); }
   [[nodiscard]] bool finished() const noexcept {
     return window_index_ ==
                static_cast<std::uint32_t>(
                    config_.calibration.windows.size()) &&
-           !window_open_;
+           !win_;
   }
   [[nodiscard]] std::size_t windows_completed() const noexcept {
     return history_.size();
@@ -99,7 +103,11 @@ class StreamingCalibrator {
   /// continues the stream bit-exactly.
   [[nodiscard]] StreamState snapshot() const;
   /// Throws std::invalid_argument when the snapshot's config fingerprint
-  /// or simulator backend does not match this calibrator's.
+  /// or simulator backend does not match this calibrator's, and
+  /// io::ArchiveError(kCorrupt) naming the field when the snapshot's shape
+  /// is inconsistent (a vector of the wrong length, a cursor outside its
+  /// window, a parent slot past the parent pool, ...). Either way the
+  /// calibrator is left exactly as it was.
   void restore(const StreamState& state);
   void save(const std::filesystem::path& path) const;
   void load(const std::filesystem::path& path);
@@ -134,11 +142,44 @@ class StreamingCalibrator {
   }
 
  private:
+  /// Everything that lives only while a window is open.
+  struct OpenWindow {
+    core::WindowSpec spec;
+    core::ParamProposal propose;
+    core::EnsembleBuffer ens;      // full-window rows, filled day by day
+    core::EnsembleBuffer day_ens;  // 1-day scratch the kernels write into
+    std::shared_ptr<core::StatePool> cloud;  // live states, slot per sim
+    std::vector<double> obs_cases, obs_deaths;
+    std::vector<double> case_acc, death_acc;            // since last resample
+    std::vector<double> full_case_acc, full_death_acc;  // whole window
+    // Day-scoring scratch: raw per-day terms land here first so a kThrow
+    // degeneracy can abort before any accumulator is touched; quarantined
+    // (demoted) terms then fold in as -inf. `degen` marks draws with at
+    // least one demoted day this window (remapped by ancestor on resample).
+    std::vector<double> day_case_term, day_death_term;
+    std::vector<std::uint8_t> day_degen, degen;
+    std::vector<rng::PhiloxEngine> bias_eng;
+    double log_marginal_acc = 0.0;
+    std::uint32_t midwindow_resamples = 0;
+    double propagate_seconds = 0.0;
+    core::ParticleSystem ps;
+    std::vector<double> lw_scratch;
+  };
+
+  /// The one set-up of window `m` behind open_window() and restore(): spec,
+  /// proposal, identity layout over `parents`, 1-day buffer, an empty cloud,
+  /// zeroed accumulators, start-of-window bias engines and the particle
+  /// system. Touches no member.
+  [[nodiscard]] OpenWindow make_window(
+      std::uint32_t m, const core::StatePool& parents,
+      const std::shared_ptr<const core::PosteriorDraws>& prev) const;
+  /// A pool holding `states`, slot i from states[i].
+  [[nodiscard]] std::shared_ptr<core::StatePool> load_pool(
+      std::span<const epi::Checkpoint> states) const;
   void open_window();
   void assimilate_day(const DailyObservation& obs);
   void resample_cloud(std::int32_t day);
   void finalize_window();
-  void close_window_members();
   void maybe_checkpoint();
   /// The one rotated-save path behind maybe_checkpoint and checkpoint_now:
   /// resets the cadence counter, snapshots, and returns once the slot is
@@ -159,7 +200,6 @@ class StreamingCalibrator {
   std::int32_t cursor_ = 0;
   bool any_assimilated_ = false;
   std::uint32_t window_index_ = 0;
-  bool window_open_ = false;
   std::uint64_t days_since_checkpoint_ = 0;
 
   // Cross-window state.
@@ -168,27 +208,7 @@ class StreamingCalibrator {
   std::shared_ptr<const core::PosteriorDraws> prev_draws_;
   std::shared_ptr<core::StatePool> parents_;
 
-  // Open-window state (valid while window_open_).
-  core::WindowSpec spec_;
-  core::ParamProposal propose_;
-  core::EnsembleBuffer win_ens_;  // full-window rows, filled day by day
-  core::EnsembleBuffer day_ens_;  // 1-day scratch the kernels write into
-  std::shared_ptr<core::StatePool> cloud_;  // live states, slot per sim
-  std::vector<double> win_obs_cases_, win_obs_deaths_;
-  std::vector<double> case_acc_, death_acc_;       // since last resample
-  std::vector<double> full_case_acc_, full_death_acc_;  // whole window
-  // Day-scoring scratch: raw per-day terms land here first so a kThrow
-  // degeneracy can abort before any accumulator is touched; quarantined
-  // (demoted) terms then fold in as -inf. win_degen_ marks draws with at
-  // least one demoted day this window (remapped by ancestor on resample).
-  std::vector<double> day_case_term_, day_death_term_;
-  std::vector<std::uint8_t> day_degen_, win_degen_;
-  std::vector<rng::PhiloxEngine> bias_eng_;
-  double log_marginal_acc_ = 0.0;
-  std::uint32_t midwindow_resamples_ = 0;
-  double propagate_seconds_ = 0.0;
-  core::ParticleSystem ps_;
-  std::vector<double> lw_scratch_;
+  std::optional<OpenWindow> win_;  // engaged while a window is open
 
   // Results.
   std::vector<core::WindowResult> results_;

@@ -152,8 +152,8 @@ TEST(ParallelFor, ExceptionAggregationAcrossBackends) {
 TEST(Backend, ParseAndNames) {
   EXPECT_EQ(parallel::parse_backend("serial"), parallel::PoolBackend::kSerial);
   EXPECT_EQ(parallel::parse_backend("pool"), parallel::PoolBackend::kPool);
-  EXPECT_THROW(parallel::parse_backend("fibers"), std::invalid_argument);
-  EXPECT_THROW(parallel::parse_backend(""), std::invalid_argument);
+  EXPECT_THROW((void)parallel::parse_backend("fibers"), std::invalid_argument);
+  EXPECT_THROW((void)parallel::parse_backend(""), std::invalid_argument);
 
   EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kSerial),
                "serial");

@@ -845,6 +845,181 @@ TEST(StreamingCalibrator, RestoreGuardsConfigAndSimulator) {
   }
 }
 
+// --- Restore checks the snapshot's shape before it commits. ----------------
+
+std::vector<std::byte> snapshot_bytes(const StreamingCalibrator& cal) {
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  cal.snapshot().serialize(out);
+  return out.bytes();
+}
+
+TEST(StreamingCalibrator, RestoreRejectsBadShapesAndChangesNothing) {
+  auto source_session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator source = source_session.stream();
+  feed_days(source, 20, 25);
+  const StreamState open = source.snapshot();
+  feed_days(source, 26, 38);
+  const StreamState second = source.snapshot();
+
+  auto target_session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator target = target_session.stream();
+  feed_days(target, 20, 22);
+  const std::vector<std::byte> before = snapshot_bytes(target);
+
+  using Edit = void (*)(StreamState&);
+  const std::pair<const char*, Edit> cases[] = {
+      {"bias_stream", [](StreamState& s) { s.bias_stream.pop_back(); }},
+      {"cloud", [](StreamState& s) { s.cloud.pop_back(); }},
+      {"param_index", [](StreamState& s) { s.param_index.resize(1); }},
+      {"degenerate_draw", [](StreamState& s) { s.degenerate_draw.clear(); }},
+      {"true_cases_prefix",
+       [](StreamState& s) { s.true_cases_prefix.pop_back(); }},
+      {"obs_cases",
+       [](StreamState& s) {
+         s.obs_cases.resize(30);
+         for (auto* v : {&s.true_cases_prefix, &s.obs_cases_prefix,
+                         &s.deaths_prefix}) {
+           v->resize(s.n_sims * 30);
+         }
+       }},
+      {"obs_deaths", [](StreamState& s) { s.obs_deaths = s.obs_cases; }},
+      {"cursor", [](StreamState& s) { s.cursor -= 3; }},
+      {"n_sims", [](StreamState& s) { s.n_sims += 1; }},
+      {"window_index",
+       [](StreamState& s) {
+         s.window_open = false;
+         s.window_index = 5;
+       }},
+      {"has_posterior", [](StreamState& s) { s.has_posterior = true; }},
+  };
+  for (const auto& [field, edit] : cases) {
+    SCOPED_TRACE(field);
+    StreamState bad = open;
+    edit(bad);
+    try {
+      target.restore(bad);
+      FAIL() << "bad shape accepted";
+    } catch (const io::ArchiveError& e) {
+      EXPECT_EQ(e.kind(), io::ArchiveErrorKind::kCorrupt) << e.what();
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(snapshot_bytes(target), before);
+  }
+
+  // Posterior checks need a snapshot past the first window.
+  StreamState bad = second;
+  bad.posterior.parent_slot[0] =
+      static_cast<std::uint32_t>(bad.parent_pool.size());
+  EXPECT_THROW(target.restore(bad), io::ArchiveError);
+  bad = second;
+  bad.posterior.rho.pop_back();
+  EXPECT_THROW(target.restore(bad), io::ArchiveError);
+  EXPECT_EQ(snapshot_bytes(target), before);
+}
+
+TEST(StreamCheckpoint, ResumeFallsBackPastABadShapeSlot) {
+  const auto base = std::filesystem::temp_directory_path() /
+                    "epismc_stream_bad_shape_ckpt.bin";
+  const io::CheckpointRotation rotation{base};
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+  api::StreamOptions options;
+  options.checkpoint_every = 1000;
+  options.checkpoint_path = base;
+
+  auto session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator cal = session.stream(options);
+  feed_days(cal, 20, 24);
+  cal.checkpoint_now();  // good slot, generation 1
+  feed_days(cal, 25, 25);
+  StreamState bad = cal.snapshot();
+  bad.cloud.pop_back();  // sealed intact, but the wrong shape
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  bad.serialize(out);
+  rotation.save_next(out);  // newest slot, generation 2
+
+  auto resumed_session = make_session(small_config(), "chain-binomial");
+  StreamingCalibrator resumed = resumed_session.stream(options);
+  const auto rec = resumed.resume_latest();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(rec->fell_back) << rec->note;
+  EXPECT_EQ(rec->generation, 1u);
+  EXPECT_EQ(resumed.next_expected_day(), 25);
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+}
+
+// restore(snapshot()) is the identity at every cut: before the first day,
+// after each day, at the window boundary and after the end. The restored
+// calibrator re-snapshots to the same bytes and runs to the same history
+// and day records as the original (timing fields excluded).
+void expect_restore_is_identity(const std::string& simulator) {
+  CalibrationConfig cfg = small_config();
+  cfg.n_params = 30;
+  cfg.use_deaths = true;
+  cfg.inference = InferenceStrategy::kTempered;
+  cfg.ess_threshold = 0.9;  // force mid-window resamples
+  const ObservedData data = test_truth().observed();
+  const auto feed = [&data](StreamingCalibrator& c, std::int32_t from,
+                            std::int32_t to) {
+    for (std::int32_t d = from; d <= to; ++d) {
+      c.ingest({.day = d, .cases = data.cases_at(d), .deaths = data.deaths_at(d)});
+    }
+  };
+
+  auto ref_session = make_session(cfg, simulator);
+  StreamingCalibrator ref = ref_session.stream();
+  feed(ref, 20, 47);
+  std::size_t resamples = 0;
+  for (const StreamDayRecord& d : ref.day_records()) resamples += d.resampled;
+  ASSERT_GE(resamples, 1u) << "no mid-window resample fired";
+
+  for (std::int32_t cut = 19; cut <= 47; ++cut) {
+    SCOPED_TRACE("cut after day " + std::to_string(cut));
+    auto a_session = make_session(cfg, simulator);
+    StreamingCalibrator a = a_session.stream();
+    feed(a, 20, cut);
+    auto b_session = make_session(cfg, simulator);
+    StreamingCalibrator b = b_session.stream();
+    b.restore(a.snapshot());
+    ASSERT_EQ(snapshot_bytes(b), snapshot_bytes(a));
+    feed(b, cut + 1, 47);
+    ASSERT_EQ(ref.history().size(), b.history().size());
+    for (std::size_t w = 0; w < ref.history().size(); ++w) {
+      const auto& rw = ref.history()[w];
+      const auto& bw = b.history()[w];
+      EXPECT_BITEQ(rw.diag.ess, bw.diag.ess);
+      EXPECT_BITEQ(rw.diag.log_marginal, bw.diag.log_marginal);
+      EXPECT_EQ(rw.diag.unique_resampled, bw.diag.unique_resampled);
+      EXPECT_EQ(rw.smc.stages.size(), bw.smc.stages.size());
+      EXPECT_BITEQ(rw.summary.theta.mean, bw.summary.theta.mean);
+      EXPECT_BITEQ(rw.summary.theta.sd, bw.summary.theta.sd);
+      EXPECT_BITEQ(rw.summary.rho.mean, bw.summary.rho.mean);
+      EXPECT_BITEQ(rw.summary.rho.ci90.hi, bw.summary.rho.ci90.hi);
+    }
+    ASSERT_EQ(ref.day_records().size(), b.day_records().size());
+    for (std::size_t i = 0; i < ref.day_records().size(); ++i) {
+      const StreamDayRecord& r = ref.day_records()[i];
+      const StreamDayRecord& q = b.day_records()[i];
+      EXPECT_EQ(r.day, q.day);
+      EXPECT_EQ(r.window, q.window);
+      EXPECT_BITEQ(r.ess, q.ess);
+      EXPECT_EQ(r.resampled, q.resampled);
+      EXPECT_BITEQ(r.log_marginal, q.log_marginal);
+      EXPECT_EQ(r.demoted, q.demoted);
+    }
+  }
+}
+
+TEST(StreamingCalibrator, RestoreOfSnapshotIsIdentitySeir) {
+  expect_restore_is_identity("seir-event");
+}
+
+TEST(StreamingCalibrator, RestoreOfSnapshotIsIdentityChainBinomial) {
+  expect_restore_is_identity("chain-binomial");
+}
+
 // --- Ingress and config validation. -----------------------------------------
 
 TEST(StreamingCalibrator, RejectsNonContiguousAndStaleDays) {
