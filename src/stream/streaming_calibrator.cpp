@@ -217,7 +217,8 @@ StreamingCalibrator::OpenWindow StreamingCalibrator::make_window(
   w.spec = core::make_window_spec(cal, m);
   w.propose = m == 0 ? core::make_prior_proposal(cal, needs_rho_)
                      : core::make_posterior_proposal(cal, prev, needs_rho_);
-  w.ens.resize(n, static_cast<std::size_t>(w.spec.to_day - w.spec.from_day + 1));
+  w.ens.resize(n,
+               static_cast<std::size_t>(w.spec.to_day - w.spec.from_day + 1));
   core::detail::layout_window_ensemble(w.spec, parents, w.propose, w.ens);
   w.day_ens.resize(n, 1);
   for (std::size_t s = 0; s < n; ++s) w.day_ens.copy_row(s, w.ens, s);
@@ -498,9 +499,8 @@ void StreamingCalibrator::finalize_window() {
   // replay (which could not reproduce mid-window resamples anyway) is
   // never needed.
   core::detail::WindowPosteriorInputs inputs{
-      sim_,        *likelihood_, *death_likelihood_, *bias_, *parents_,
-      w.spec,       w.propose,     case_cache,         death_cache,
-      full_lw};
+      sim_,   *likelihood_, *death_likelihood_, *bias_,      *parents_,
+      w.spec, w.propose,    case_cache,         death_cache, full_lw};
   inputs.degeneracy = core::detail::collect_degenerate(w.degen);
   core::detail::resolve_window_posterior(inputs, w.cloud,
                                          /*inline_capture=*/true, result);

@@ -964,7 +964,8 @@ void expect_restore_is_identity(const std::string& simulator) {
   const auto feed = [&data](StreamingCalibrator& c, std::int32_t from,
                             std::int32_t to) {
     for (std::int32_t d = from; d <= to; ++d) {
-      c.ingest({.day = d, .cases = data.cases_at(d), .deaths = data.deaths_at(d)});
+      c.ingest(
+          {.day = d, .cases = data.cases_at(d), .deaths = data.deaths_at(d)});
     }
   };
 
