@@ -26,9 +26,14 @@
 //       # worker; crashes/hangs are killed, backed off and resumed from
 //       # the newest CRC-passing slot (--report-csv=PATH dumps attempts)
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/api.hpp"
@@ -137,6 +142,13 @@ int run(const epismc::io::Args& args) {
       if (h == "deaths") deaths = table.column_as_double("deaths");
     }
     for (std::size_t i = 0; i < days.size(); ++i) {
+      if (days[i] != std::floor(days[i]) ||
+          std::abs(days[i]) > std::numeric_limits<std::int32_t>::max()) {
+        throw std::invalid_argument(
+            "--data: line " + std::to_string(table.line_of(i)) +
+            ": day must be a whole number, got '" +
+            table.rows[i][table.column_index("day")] + "'");
+      }
       stream::DailyObservation obs;
       obs.day = static_cast<std::int32_t>(days[i]);
       obs.cases = cases[i];

@@ -22,7 +22,9 @@
 //   3. extracts the output series into the buffer rows, captures the end
 //      state into the sink's pool slot (typed copy, no serialization), and
 //      runs the sink's fused per-sim hook (bias + likelihood scoring) --
-//      one sweep over the ensemble instead of three.
+//      one sweep over the ensemble instead of three. A sink with an
+//      on_day hook gets the window one day at a time instead, and may end
+//      a sim early (no capture, no on_sim) -- see BatchSink::on_day.
 //
 // Results are bit-identical to restore-per-sim: branch() reproduces the
 // exact engine/schedule state restore(ckpt, {seed, stream, theta}) builds,
@@ -107,6 +109,29 @@ void run_batch_fused(const StatePool& parents_erased, std::int32_t to_day,
     prepare(m);
     m.branch(buffer.seed[s], buffer.stream[s], buffer.theta[s]);
     const std::int32_t from_day = m.day() + 1;
+    const std::int32_t window_first =
+        to_day - static_cast<std::int32_t>(buffer.window_len()) + 1;
+    if (sink.on_day && from_day <= window_first) {
+      // Lead-in days in one go, then the window day by day (stepping
+      // run_until_day is bit-identical to one call, as advance_batch
+      // relies on too). A parent inside the window takes the plain path
+      // below, whose store_tail reports it.
+      if (from_day < window_first) m.run_until_day(window_first - 1);
+      const std::span<double> cases = buffer.true_cases(s);
+      const std::span<double> deaths = buffer.deaths(s);
+      for (std::size_t k = 0; k < buffer.window_len(); ++k) {
+        const std::int32_t day = window_first + static_cast<std::int32_t>(k);
+        m.run_until_day(day);
+        m.trajectory().copy_series(&epi::DailyRecord::new_infections, day,
+                                   day, cases.subspan(k, 1));
+        m.trajectory().copy_series(&epi::DailyRecord::new_deaths, day, day,
+                                   deaths.subspan(k, 1));
+        if (!sink.on_day(s, k + 1)) return;
+      }
+      if (capture != nullptr) capture->set(s, m);
+      if (sink.on_sim) sink.on_sim(s);
+      return;
+    }
     m.run_until_day(to_day);
 
     ws.series.resize(static_cast<std::size_t>(to_day - from_day + 1));

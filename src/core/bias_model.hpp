@@ -31,7 +31,10 @@ class BiasModel {
   /// Batched variant writing into a caller-owned row of equal length --
   /// the importance-sampling hot path applies bias straight onto
   /// EnsembleBuffer observation rows through this. Must consume randomness
-  /// exactly as apply() does. The default copies through apply(), so
+  /// exactly as apply() does, and day by day: calls over consecutive
+  /// sub-ranges with one persisted engine must equal one call over the
+  /// whole series (the streaming ingest and rejuvenation's early
+  /// rejection score day by day). The default copies through apply(), so
   /// external registry models keep working unchanged; the built-ins
   /// override it allocation-free.
   virtual void apply_into(rng::Engine& eng, std::span<const double> true_counts,

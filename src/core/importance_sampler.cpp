@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "parallel/parallel.hpp"
 #include "random/seeding.hpp"
+#include "simd/simd.hpp"
 
 namespace epismc::core {
 
@@ -131,13 +133,24 @@ void replay_with_capture(const Simulator& sim, const StatePool& parents,
 // sim: the streaming driver's ensemble log-weight column only covers the
 // tail after a mid-window resample, but the MH acceptance ratio needs the
 // whole window on both sides.
-void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
-                      const Likelihood& death_likelihood, const BiasModel& bias,
-                      const StatePool& parents, const WindowSpec& spec,
-                      const ParamProposal& propose,
-                      const ObservationCache& case_cache,
-                      const ObservationCache& death_cache,
-                      std::span<const double> full_ll, WindowResult& result) {
+//
+// Early rejection: a proposal is accepted iff log u < ll - cur_ll, with u
+// drawn from its own engine. When every day's likelihood term is <= 0
+// (ObservationCache::nonpositive_day_terms) the running day-ordered score
+// can only fall, so the proposal stops on the first day where
+// running - cur_ll <= log u (BatchSink::on_day) -- it could not be
+// accepted any more. The stop is exact at the scalar dispatch level: there
+// the cached window score is the same left-to-right sum of the same terms,
+// so each rounded partial sum bounds the final one from above, and the
+// sum of the case and death scores and the subtraction are monotone too.
+// Vector levels accumulate in lanes and regroup the terms, so their window
+// score is not bounded by the running one to the last ulp; they do not
+// stop. Proposals that run to the end are scored by the unchanged
+// whole-window on_sim, so every accepted value is the full evaluation's.
+void run_rejuvenation(const detail::WindowPosteriorInputs& in,
+                      WindowResult& result) {
+  const WindowSpec& spec = in.spec;
+  const std::span<const double> full_ll = in.rejuvenation_loglik;
   const EnsembleBuffer& ens = result.ensemble;
   const std::size_t n_draws = result.resampled.size();
   const std::size_t window_len = result.window_length();
@@ -162,6 +175,32 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
     cur_ll[i] = full_ll.empty() ? ens.log_weight[s] : full_ll[s];
   }
 
+  const bool early_reject =
+      in.case_cache.nonpositive_day_terms &&
+      in.observed_cases.size() == window_len &&
+      (!spec.use_deaths || (in.death_cache.nonpositive_day_terms &&
+                            in.observed_deaths.size() == window_len)) &&
+      simd::active().level == simd::SimdLevel::kScalar;
+  // One-day observation caches, as the streaming ingest scores them.
+  std::vector<ObservationCache> case_days;
+  std::vector<ObservationCache> death_days;
+  if (early_reject) {
+    for (std::size_t k = 0; k < window_len; ++k) {
+      case_days.push_back(
+          in.case_likelihood.prepare(in.observed_cases.subspan(k, 1)));
+      if (spec.use_deaths) {
+        death_days.push_back(
+            in.death_likelihood.prepare(in.observed_deaths.subspan(k, 1)));
+      }
+    }
+  }
+  // Per-draw running state of the day-by-day score; each sim of the
+  // parallel sweep touches only its own slot.
+  std::vector<double> log_u(n_draws);
+  std::vector<rng::PhiloxEngine> day_bias(early_reject ? n_draws : 0);
+  std::vector<double> run_case(early_reject ? n_draws : 0);
+  std::vector<double> run_death(early_reject ? n_draws : 0);
+
   EnsembleBuffer prop(n_draws, window_len);
   for (std::uint64_t round = 1; round <= spec.rejuvenation_moves; ++round) {
     for (std::size_t i = 0; i < n_draws; ++i) {
@@ -172,8 +211,8 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
       // is what makes the MH ratio collapse to the likelihood ratio.
       const auto j =
           static_cast<std::uint32_t>(rng::uniform_int(peng, spec.n_params));
-      const ProposedParams pp = propose(peng, j);
-      if (pp.parent >= parents.size()) {
+      const ProposedParams pp = in.propose(peng, j);
+      if (pp.parent >= in.parents.size()) {
         throw std::out_of_range("run_rejuvenation: bad parent index");
       }
       prop.param_index[i] = static_cast<std::uint32_t>(i);
@@ -185,27 +224,53 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
       prop.stream[i] =
           rng::make_stream_id({kRejuvModelTag, spec.window_index, round, i})
               .key;
+      auto aeng = rng::make_engine(
+          spec.seed, {kRejuvAcceptTag, spec.window_index, round, i});
+      log_u[i] = std::log(rng::uniform_double_oo(aeng));
+      if (early_reject) {
+        day_bias[i] = rng::make_engine(
+            spec.seed, {kRejuvBiasTag, spec.window_index, round, i});
+        run_case[i] = 0.0;
+        run_death[i] = 0.0;
+      }
     }
     BatchSink sink;
     sink.on_sim = [&](std::size_t i) {
       auto beng = rng::make_engine(
           spec.seed, {kRejuvBiasTag, spec.window_index, round, i});
-      bias.apply_into(beng, prop.true_cases(i), prop.rho[i],
-                      prop.obs_cases(i));
-      double ll = case_likelihood.logpdf(case_cache, prop.obs_cases(i));
+      in.bias.apply_into(beng, prop.true_cases(i), prop.rho[i],
+                         prop.obs_cases(i));
+      double ll = in.case_likelihood.logpdf(in.case_cache, prop.obs_cases(i));
       if (spec.use_deaths) {
-        ll += death_likelihood.logpdf(death_cache, prop.deaths(i));
+        ll += in.death_likelihood.logpdf(in.death_cache, prop.deaths(i));
       }
       prop.log_weight[i] = ll;
     };
-    sim.run_batch(parents, spec.to_day, prop, 0, n_draws, sink);
+    if (early_reject) {
+      sink.on_day = [&](std::size_t i, std::size_t days_filled) {
+        const std::size_t k = days_filled - 1;
+        in.bias.apply_into(day_bias[i], prop.true_cases(i).subspan(k, 1),
+                           prop.rho[i], prop.obs_cases(i).subspan(k, 1));
+        run_case[i] += in.case_likelihood.logpdf(
+            case_days[k], prop.obs_cases(i).subspan(k, 1));
+        double running = run_case[i];
+        if (spec.use_deaths) {
+          run_death[i] += in.death_likelihood.logpdf(
+              death_days[k], prop.deaths(i).subspan(k, 1));
+          running = run_case[i] + run_death[i];
+        }
+        if (running - cur_ll[i] <= log_u[i]) {
+          prop.log_weight[i] = -std::numeric_limits<double>::infinity();
+          return false;
+        }
+        return true;
+      };
+    }
+    in.sim.run_batch(in.parents, spec.to_day, prop, 0, n_draws, sink);
 
     std::size_t accepted = 0;
     for (std::size_t i = 0; i < n_draws; ++i) {
-      auto aeng = rng::make_engine(
-          spec.seed, {kRejuvAcceptTag, spec.window_index, round, i});
-      if (std::log(rng::uniform_double_oo(aeng)) <
-          prop.log_weight[i] - cur_ll[i]) {
+      if (log_u[i] < prop.log_weight[i] - cur_ll[i]) {
         overlay.moved[i] = 1;
         overlay.theta[i] = prop.theta[i];
         overlay.rho[i] = prop.rho[i];
@@ -234,8 +299,8 @@ void run_rejuvenation(const Simulator& sim, const Likelihood& case_likelihood,
     overlay.series.copy_row(k, scratch, i, window_len);
   }
   if (!moved_ids.empty()) {
-    const std::shared_ptr<StatePool> moved_pool = sim.make_pool();
-    replay_with_capture(sim, parents, spec.to_day, scratch, moved_ids,
+    const std::shared_ptr<StatePool> moved_pool = in.sim.make_pool();
+    replay_with_capture(in.sim, in.parents, spec.to_day, scratch, moved_ids,
                         *moved_pool, "run_rejuvenation");
     for (std::size_t k = 0; k < moved_ids.size(); ++k) {
       overlay.state_slot[moved_ids[k]] = static_cast<std::uint32_t>(
@@ -464,9 +529,7 @@ void resolve_window_posterior(const WindowPosteriorInputs& in,
   // only): diversify the resampled duplicates with independence-MH moves
   // scored through the same fused batch kernel.
   if (spec.inference == InferenceStrategy::kTemperedRejuvenate && degenerate) {
-    run_rejuvenation(in.sim, in.case_likelihood, in.death_likelihood, in.bias,
-                     in.parents, spec, in.propose, in.case_cache,
-                     in.death_cache, in.rejuvenation_loglik, result);
+    run_rejuvenation(in, result);
   }
 }
 
@@ -565,6 +628,8 @@ WindowResult run_importance_window(const Simulator& sim,
   detail::WindowPosteriorInputs inputs{
       sim,        case_likelihood, death_likelihood, bias, parents,
       spec,       propose,         case_cache,       death_cache};
+  inputs.observed_cases = y_cases;
+  inputs.observed_deaths = y_deaths;
   inputs.degeneracy = std::move(degeneracy);
   detail::resolve_window_posterior(inputs, std::move(capture), inline_capture,
                                    result);

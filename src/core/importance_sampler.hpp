@@ -219,6 +219,11 @@ struct WindowPosteriorInputs {
   /// the streaming driver passes its own accumulators here because after a
   /// mid-window resample the log_weight column only covers the tail.
   std::span<const double> rejuvenation_loglik = {};
+  /// The window's observed case (and, under use_deaths, death) counts, one
+  /// per window day: rejuvenation scores proposals day by day from one-day
+  /// caches of them to stop hopeless ones early.
+  std::span<const double> observed_cases = {};
+  std::span<const double> observed_deaths = {};
   /// Draws the scoring pass quarantined (log-likelihood demoted to -inf
   /// under DegeneracyPolicy::kQuarantine); copied onto result.smc and
   /// cited when the whole window turns out degenerate.

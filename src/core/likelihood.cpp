@@ -1,6 +1,8 @@
 #include "core/likelihood.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "api/components.hpp"
@@ -65,6 +67,11 @@ ObservationCache GaussianSqrtLikelihood::prepare(
   for (std::size_t t = 0; t < observed.size(); ++t) {
     cache.t0[t] = std::sqrt(std::max(observed[t], 0.0));
   }
+  // A day scores (-0.5 * z) * z - log(sigma) - log(sqrt(2 pi)), left to
+  // right. The first product is <= 0 and rounding is monotone, so no day
+  // can score above the z = 0 value: the terms are all <= 0 exactly when
+  // that value is, i.e. when sigma >= 1/sqrt(2 pi) to the last ulp.
+  cache.nonpositive_day_terms = stats::normal_logpdf(0.0, 0.0, sigma_) <= 0.0;
   return cache;
 }
 
@@ -116,12 +123,24 @@ ObservationCache PoissonLikelihood::prepare(
   cache.owner = this;
   cache.t0.resize(observed.size());
   cache.t1.resize(observed.size());
+  std::int64_t max_count = 0;
   for (std::size_t t = 0; t < observed.size(); ++t) {
     const auto y = static_cast<std::int64_t>(
         std::llround(std::max(observed[t], 0.0)));
     cache.t0[t] = static_cast<double>(y);
     cache.t1[t] = std::lgamma(static_cast<double>(y) + 1.0);
+    max_count = std::max(max_count, y);
   }
+  // A day scores y*log(r) - r - lgamma(y+1) with r >= rate_floor_ > 0.
+  // y = 0 gives exactly -r (the product is +-0, lgamma(1) = 0). For y >= 1
+  // the exact value T is at most -0.5*log(2 pi y) < -0.91 (Stirling).
+  // The three operations and the two libm calls (a few ulp each) move the
+  // computed term by under 12u * (|y log r| + r + lgamma(y+1)), u = 2^-53,
+  // and since T < 0 that sum is at most 2|y log r| + |T|. With
+  // |log r| <= 745 for every positive double, counts up to kMaxExactCount
+  // keep the shift below 0.02 + 12u|T|, so every computed term is < 0.
+  constexpr std::int64_t kMaxExactCount = 10'000'000'000;
+  cache.nonpositive_day_terms = max_count <= kMaxExactCount;
   return cache;
 }
 
@@ -173,6 +192,9 @@ ObservationCache NegBinSqrtLikelihood::prepare(
   for (std::size_t t = 0; t < observed.size(); ++t) {
     cache.t0[t] = std::sqrt(std::max(observed[t], 0.0));
   }
+  // sd = 0.5 * sqrt(1 + eta/k) >= 0.5 for every eta >= 0, so a day scores
+  // at most log(2) - log(sqrt(2 pi)) = -0.2258.
+  cache.nonpositive_day_terms = true;
   return cache;
 }
 

@@ -32,6 +32,16 @@ struct ObservationCache {
   std::vector<double> observed;       // verbatim copy (generic fallback)
   std::vector<double> t0;             // first per-day transform (model-specific)
   std::vector<double> t1;             // second per-day transform
+
+  /// Set by prepare() only when every day's scored term is <= 0 whatever
+  /// the simulated count, and the scalar-level cached window score is the
+  /// left-to-right sum of those terms -- the same value as one-day caches
+  /// scored and summed in day order. A running day-ordered score can then
+  /// only fall, so a partial window already bounds the full score from
+  /// above (rejuvenation stops hopeless proposals on it). The default
+  /// prepare() leaves it off; a decorator that re-owns a wrapped cache
+  /// keeps it, one that changes the scores must clear it.
+  bool nonpositive_day_terms = false;
 };
 
 class Likelihood {

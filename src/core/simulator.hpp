@@ -65,6 +65,18 @@ struct BatchSink {
   /// depend only on s -- the same determinism contract as the loop body.
   /// The importance sampler folds bias + likelihood scoring in here.
   std::function<void(std::size_t)> on_sim;
+
+  /// When set, the built-in run_batch steps the window's days one at a
+  /// time: after each day it writes that day's true-case and death values
+  /// into sim s's rows and calls on_day(s, days_filled), where days_filled
+  /// counts the row entries written so far (1 .. window_len). Returning
+  /// false ends sim s there: its remaining days are not simulated, its
+  /// capture slot is left untouched and on_sim is not called. Same
+  /// threading and determinism contract as on_sim. Advisory: the generic
+  /// base-class run_batch and every advance_batch ignore it, so a caller
+  /// must treat a sim that reaches on_sim exactly like an unhooked run.
+  /// Rejuvenation stops proposals it can prove rejected through this.
+  std::function<bool(std::size_t, std::size_t)> on_day;
 };
 
 class Simulator {

@@ -1,5 +1,6 @@
 #include "io/csv.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace epismc::io {
@@ -44,15 +45,36 @@ std::size_t CsvTable::column_index(const std::string& name) const {
   throw std::out_of_range("CsvTable: no column named " + name);
 }
 
+std::size_t CsvTable::line_of(std::size_t row) const {
+  return row < lines.size() ? lines[row] : row + 2;
+}
+
 std::vector<double> CsvTable::column_as_double(const std::string& name) const {
   const std::size_t idx = column_index(name);
   std::vector<double> out;
   out.reserve(rows.size());
-  for (const auto& r : rows) {
-    if (idx >= r.size()) {
-      throw std::out_of_range("CsvTable: ragged row while reading " + name);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::string where =
+        "CsvTable: column '" + name + "', line " + std::to_string(line_of(r));
+    if (idx >= rows[r].size()) {
+      throw std::invalid_argument(where + ": the row has " +
+                                  std::to_string(rows[r].size()) +
+                                  " cell(s), the header " +
+                                  std::to_string(header.size()));
     }
-    out.push_back(std::stod(r[idx]));
+    const std::string& cell = rows[r][idx];
+    double v = 0.0;
+    std::size_t used = 0;
+    try {
+      v = std::stod(cell, &used);
+    } catch (const std::exception&) {
+      // No number at all, or out of double range: reported below.
+    }
+    if (used == 0 || used != cell.size() || !std::isfinite(v)) {
+      throw std::invalid_argument(where + ": expected a finite number, got '" +
+                                  cell + "'");
+    }
+    out.push_back(v);
   }
   return out;
 }
@@ -62,10 +84,17 @@ CsvTable read_csv(const std::filesystem::path& path) {
   if (!in) throw std::runtime_error("read_csv: cannot open " + path.string());
   CsvTable table;
   std::string line;
-  if (std::getline(in, line)) table.header = split_csv_line(line);
+  std::size_t line_no = 1;
+  if (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    table.header = split_csv_line(line);
+  }
   while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty()) continue;
     table.rows.push_back(split_csv_line(line));
+    table.lines.push_back(line_no);
   }
   return table;
 }

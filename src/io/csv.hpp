@@ -48,8 +48,18 @@ class CsvWriter {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  /// 1-based file line of each row; read_csv fills it (blank lines are
+  /// skipped, so rows and lines can drift apart). A hand-built table may
+  /// leave it empty, and then row r is reported as line r + 2.
+  std::vector<std::size_t> lines;
 
   [[nodiscard]] std::size_t column_index(const std::string& name) const;
+  /// File line of row `row`, for error messages.
+  [[nodiscard]] std::size_t line_of(std::size_t row) const;
+  /// Every cell of the column parsed whole as a finite number. A cell
+  /// with trailing characters, an empty cell, nan, inf, a value out of
+  /// double range or a row too short to hold the column throws
+  /// std::invalid_argument naming the column, the line and the cell.
   [[nodiscard]] std::vector<double> column_as_double(
       const std::string& name) const;
 };

@@ -501,6 +501,8 @@ void StreamingCalibrator::finalize_window() {
   core::detail::WindowPosteriorInputs inputs{
       sim_,   *likelihood_, *death_likelihood_, *bias_,      *parents_,
       w.spec, w.propose,    case_cache,         death_cache, full_lw};
+  inputs.observed_cases = w.obs_cases;
+  inputs.observed_deaths = w.obs_deaths;
   inputs.degeneracy = core::detail::collect_degenerate(w.degen);
   core::detail::resolve_window_posterior(inputs, w.cloud,
                                          /*inline_capture=*/true, result);

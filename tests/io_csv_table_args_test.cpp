@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -44,6 +45,52 @@ TEST(Csv, FieldCountEnforced) {
   CsvWriter w(path, {"a", "b"});
   EXPECT_THROW(w.row({"only-one"}), std::invalid_argument);
   std::filesystem::remove(path);
+}
+
+// A one-column table whose only data row holds `cell`, read back through
+// read_csv so the reported line is the file's.
+std::string column_error(const std::string& body) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "epismc_csv_bad_cell.csv";
+  {
+    std::ofstream out(path);
+    out << body;
+  }
+  const CsvTable table = read_csv(path);
+  std::filesystem::remove(path);
+  try {
+    (void)table.column_as_double("cases");
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csv, ColumnAsDoubleRejectsMalformedCells) {
+  struct Case {
+    const char* body;
+    const char* cell;
+  };
+  const Case cases[] = {
+      {"day,cases\n1,12x\n", "'12x'"},   {"day,cases\n1,\n", "''"},
+      {"day,cases\n1,nan\n", "'nan'"},   {"day,cases\n1,inf\n", "'inf'"},
+      {"day,cases\n1,-inf\n", "'-inf'"}, {"day,cases\n1,1e400\n", "'1e400'"},
+      {"day,cases\n1,x12\n", "'x12'"},   {"day,cases\n1,1.5.2\n", "'1.5.2'"},
+  };
+  for (const Case& c : cases) {
+    const std::string msg = column_error(c.body);
+    SCOPED_TRACE(c.body);
+    ASSERT_FALSE(msg.empty()) << "accepted";
+    EXPECT_NE(msg.find("'cases'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.cell), std::string::npos) << msg;
+  }
+  // A ragged row names its line, counted past skipped blank lines.
+  const std::string ragged = column_error("day,cases\n1,4\n\n3\n");
+  EXPECT_NE(ragged.find("line 4"), std::string::npos) << ragged;
+  EXPECT_NE(ragged.find("'cases'"), std::string::npos) << ragged;
+  // Well-formed cells, CRLF line ends included, still read.
+  EXPECT_EQ(column_error("day,cases\r\n1,12\r\n2,1e3\n3, 7\n"), "");
 }
 
 TEST(Csv, SplitLine) {
