@@ -54,13 +54,13 @@ std::vector<double> CsvTable::column_as_double(const std::string& name) const {
   std::vector<double> out;
   out.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::string where =
-        "CsvTable: column '" + name + "', line " + std::to_string(line_of(r));
+    const auto fail = [&](const std::string& what) {
+      throw std::invalid_argument("CsvTable: column '" + name + "', line " +
+                                  std::to_string(line_of(r)) + ": " + what);
+    };
     if (idx >= rows[r].size()) {
-      throw std::invalid_argument(where + ": the row has " +
-                                  std::to_string(rows[r].size()) +
-                                  " cell(s), the header " +
-                                  std::to_string(header.size()));
+      fail("the row has " + std::to_string(rows[r].size()) +
+           " cell(s), the header " + std::to_string(header.size()));
     }
     const std::string& cell = rows[r][idx];
     double v = 0.0;
@@ -71,8 +71,7 @@ std::vector<double> CsvTable::column_as_double(const std::string& name) const {
       // No number at all, or out of double range: reported below.
     }
     if (used == 0 || used != cell.size() || !std::isfinite(v)) {
-      throw std::invalid_argument(where + ": expected a finite number, got '" +
-                                  cell + "'");
+      fail("expected a finite number, got '" + cell + "'");
     }
     out.push_back(v);
   }
