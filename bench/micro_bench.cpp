@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "abm/agent_model.hpp"
@@ -61,6 +62,25 @@ void BM_BinomialSmallNp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinomialSmallNp)->Arg(1)->Arg(10)->Arg(100)->Arg(290);
+
+void BM_BinomialSmallNpTable(benchmark::State& state) {
+  // The same BINV sweep at n = 200, inside a q^n table's 256 entries, as
+  // the conditional delay bins draw it. table:1 passes the table, so q^n
+  // is read from it instead of pow(); table:0 does not. Both draw the same
+  // values at the same engine positions.
+  const double p = static_cast<double>(state.range(0)) / 10.0 / 200.0;
+  const std::vector<double> q_pow = rng::binomial_q_pow(p, 256);
+  const std::span<const double> table =
+      state.range(1) != 0 ? std::span<const double>(q_pow)
+                          : std::span<const double>();
+  rng::Engine eng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng::binomial(eng, 200, p, table));
+  }
+}
+BENCHMARK(BM_BinomialSmallNpTable)
+    ->ArgsProduct({{1, 10, 100, 290}, {0, 1}})
+    ->ArgNames({"np10", "table"});
 
 void BM_BinomialBtpe(benchmark::State& state) {
   // BTPE rejection regime; n at epidemic scale -- cost must stay O(1).

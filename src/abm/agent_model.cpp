@@ -63,7 +63,7 @@ AgentBasedModel::AgentBasedModel(AbmConfig config,
   next_day_.assign(n, kNever);
   counts_[epi::index(epi::Compartment::kS)] = config_.disease.population;
   build_households();
-  acquire_delay_tables();
+  delays_ = epi::delay_tables(config_.disease);
   hh_state_.assign(household_count(), HouseholdState{});
   for (std::size_t hh = 0; hh < household_count(); ++hh) {
     hh_state_[hh].susceptible = static_cast<std::uint16_t>(
@@ -97,23 +97,6 @@ void AgentBasedModel::build_households() {
     household_offsets_.push_back(static_cast<std::uint32_t>(assigned));
     ++hh;
   }
-}
-
-void AgentBasedModel::acquire_delay_tables() {
-  const auto& p = config_.disease;
-  const int k = p.erlang_shape;
-  const int md = p.max_delay;
-  auto tables = std::make_shared<epi::DelayTables>();
-  tables->latent = epi::DelayDistribution(p.latent_period, k, md);
-  tables->presym = epi::DelayDistribution(p.presymptomatic_period, k, md);
-  tables->asym = epi::DelayDistribution(p.asymptomatic_period, k, md);
-  tables->mild = epi::DelayDistribution(p.mild_period, k, md);
-  tables->severe = epi::DelayDistribution(p.severe_period, k, md);
-  tables->hosp = epi::DelayDistribution(p.hospital_period, k, md);
-  tables->hosp_icu = epi::DelayDistribution(p.hospital_to_icu, k, md);
-  tables->icu = epi::DelayDistribution(p.icu_period, k, md);
-  tables->posticu = epi::DelayDistribution(p.post_icu_period, k, md);
-  delays_ = std::move(tables);
 }
 
 void AgentBasedModel::rebuild_population_index() {
@@ -703,7 +686,7 @@ AgentBasedModel AgentBasedModel::restore(const epi::Checkpoint& ckpt,
   }
   m.config_.validate();
   m.build_households();
-  m.acquire_delay_tables();
+  m.delays_ = epi::delay_tables(m.config_.disease);
   m.rebuild_population_index();
   m.validate_restored_calendar();
   return m;

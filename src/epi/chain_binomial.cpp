@@ -20,10 +20,27 @@ ChainBinomialModel::ChainBinomialModel(DiseaseParameters params,
       eng_(seed, stream) {
   params_.validate();
   counts_[index(Compartment::kS)] = params_.population;
+  probs_ = site_probs(params_);
 }
 
-double ChainBinomialModel::exit_prob(double mean_days) {
-  return 1.0 - std::exp(-1.0 / mean_days);
+ChainBinomialModel::SiteProbs ChainBinomialModel::site_probs(
+    const DiseaseParameters& p) {
+  const auto leave = [](double mean) { return 1.0 - std::exp(-1.0 / mean); };
+  const auto detect = [](double frac_detected, double mean) {
+    return 1.0 - std::pow(1.0 - frac_detected, 1.0 / mean);
+  };
+  return SiteProbs{leave(p.latent_period),
+                   leave(p.asymptomatic_period),
+                   leave(p.presymptomatic_period),
+                   leave(p.mild_period),
+                   leave(p.severe_period),
+                   leave(p.hospital_period),
+                   leave(p.icu_period),
+                   leave(p.post_icu_period),
+                   detect(p.detect_asymptomatic, p.asymptomatic_period),
+                   detect(p.detect_presymptomatic, p.presymptomatic_period),
+                   detect(p.detect_mild, p.mild_period),
+                   detect(p.detect_severe, p.severe_period)};
 }
 
 void ChainBinomialModel::seed_exposed(std::int64_t n) {
@@ -75,52 +92,42 @@ double ChainBinomialModel::force_of_infection() const noexcept {
 void ChainBinomialModel::draw_sites_sequential(
     std::array<std::int64_t, kDrawSites>& draw) {
   const DiseaseParameters& p = params_;
+  const SiteProbs& h = probs_;
   using C = Compartment;
   const auto n = [&](C c) { return counts_[index(c)]; };
-  const auto leave = [&](C from, double mean) {
-    return rng::binomial(eng_, n(from), exit_prob(mean));
+  const auto leave = [&](C from, double prob) {
+    return rng::binomial(eng_, n(from), prob);
   };
   const auto split = [&](std::int64_t total, double frac) {
     return rng::binomial(eng_, total, frac);
   };
-  // Per-day detection hazard approximating an overall detection fraction
-  // over the state's mean duration.
-  const auto detect_hazard = [&](double frac_detected, double mean) {
-    return 1.0 - std::pow(1.0 - frac_detected, 1.0 / mean);
-  };
 
-  draw[0] = leave(C::kE, p.latent_period);
+  draw[0] = leave(C::kE, h.leave_latent);
   draw[1] = split(draw[0], p.fraction_symptomatic);
-  draw[2] = leave(C::kAu, p.asymptomatic_period);
-  draw[3] = rng::binomial(
-      eng_, n(C::kAu) - draw[2],
-      detect_hazard(p.detect_asymptomatic, p.asymptomatic_period));
-  draw[4] = leave(C::kAd, p.asymptomatic_period);
-  draw[5] = leave(C::kPu, p.presymptomatic_period);
+  draw[2] = leave(C::kAu, h.leave_asym);
+  draw[3] = split(n(C::kAu) - draw[2], h.detect_asym);
+  draw[4] = leave(C::kAd, h.leave_asym);
+  draw[5] = leave(C::kPu, h.leave_presym);
   draw[6] = split(draw[5], p.fraction_mild);
-  draw[7] = rng::binomial(
-      eng_, n(C::kPu) - draw[5],
-      detect_hazard(p.detect_presymptomatic, p.presymptomatic_period));
-  draw[8] = leave(C::kPd, p.presymptomatic_period);
+  draw[7] = split(n(C::kPu) - draw[5], h.detect_presym);
+  draw[8] = leave(C::kPd, h.leave_presym);
   draw[9] = split(draw[8], p.fraction_mild);
-  draw[10] = leave(C::kSmU, p.mild_period);
-  draw[11] = rng::binomial(eng_, n(C::kSmU) - draw[10],
-                           detect_hazard(p.detect_mild, p.mild_period));
-  draw[12] = leave(C::kSmD, p.mild_period);
-  draw[13] = leave(C::kSsU, p.severe_period);
-  draw[14] = rng::binomial(eng_, n(C::kSsU) - draw[13],
-                           detect_hazard(p.detect_severe, p.severe_period));
-  draw[15] = leave(C::kSsD, p.severe_period);
-  draw[16] = leave(C::kHu, p.hospital_period);
+  draw[10] = leave(C::kSmU, h.leave_mild);
+  draw[11] = split(n(C::kSmU) - draw[10], h.detect_mild);
+  draw[12] = leave(C::kSmD, h.leave_mild);
+  draw[13] = leave(C::kSsU, h.leave_severe);
+  draw[14] = split(n(C::kSsU) - draw[13], h.detect_severe);
+  draw[15] = leave(C::kSsD, h.leave_severe);
+  draw[16] = leave(C::kHu, h.leave_hosp);
   draw[17] = split(draw[16], p.fraction_critical);
-  draw[18] = leave(C::kHd, p.hospital_period);
+  draw[18] = leave(C::kHd, h.leave_hosp);
   draw[19] = split(draw[18], p.fraction_critical);
-  draw[20] = leave(C::kCu, p.icu_period);
+  draw[20] = leave(C::kCu, h.leave_icu);
   draw[21] = split(draw[20], p.fraction_death);
-  draw[22] = leave(C::kCd, p.icu_period);
+  draw[22] = leave(C::kCd, h.leave_icu);
   draw[23] = split(draw[22], p.fraction_death);
-  draw[24] = leave(C::kHpU, p.post_icu_period);
-  draw[25] = leave(C::kHpD, p.post_icu_period);
+  draw[24] = leave(C::kHpU, h.leave_post_icu);
+  draw[25] = leave(C::kHpD, h.leave_post_icu);
   const double p_inf = 1.0 - std::exp(-force_of_infection());
   draw[26] = rng::binomial(eng_, n(C::kS), p_inf);
 }
@@ -128,11 +135,9 @@ void ChainBinomialModel::draw_sites_sequential(
 void ChainBinomialModel::draw_sites_segmented(
     std::array<std::int64_t, kDrawSites>& draw) {
   const DiseaseParameters& p = params_;
+  const SiteProbs& h = probs_;
   using C = Compartment;
   const auto n = [&](C c) { return counts_[index(c)]; };
-  const auto detect_hazard = [&](double frac_detected, double mean) {
-    return 1.0 - std::pow(1.0 - frac_detected, 1.0 / mean);
-  };
 
   // Each site owns a fixed 64-draw slice of the counter space starting at
   // the day's base position, so the day consumes exactly kDrawSites *
@@ -161,21 +166,21 @@ void ChainBinomialModel::draw_sites_segmented(
 
   // Stage A: leaves + infection (start-of-day census only).
   Batch a;
-  a.put(base, 0, n(C::kE), exit_prob(p.latent_period));
-  a.put(base, 2, n(C::kAu), exit_prob(p.asymptomatic_period));
-  a.put(base, 4, n(C::kAd), exit_prob(p.asymptomatic_period));
-  a.put(base, 5, n(C::kPu), exit_prob(p.presymptomatic_period));
-  a.put(base, 8, n(C::kPd), exit_prob(p.presymptomatic_period));
-  a.put(base, 10, n(C::kSmU), exit_prob(p.mild_period));
-  a.put(base, 12, n(C::kSmD), exit_prob(p.mild_period));
-  a.put(base, 13, n(C::kSsU), exit_prob(p.severe_period));
-  a.put(base, 15, n(C::kSsD), exit_prob(p.severe_period));
-  a.put(base, 16, n(C::kHu), exit_prob(p.hospital_period));
-  a.put(base, 18, n(C::kHd), exit_prob(p.hospital_period));
-  a.put(base, 20, n(C::kCu), exit_prob(p.icu_period));
-  a.put(base, 22, n(C::kCd), exit_prob(p.icu_period));
-  a.put(base, 24, n(C::kHpU), exit_prob(p.post_icu_period));
-  a.put(base, 25, n(C::kHpD), exit_prob(p.post_icu_period));
+  a.put(base, 0, n(C::kE), h.leave_latent);
+  a.put(base, 2, n(C::kAu), h.leave_asym);
+  a.put(base, 4, n(C::kAd), h.leave_asym);
+  a.put(base, 5, n(C::kPu), h.leave_presym);
+  a.put(base, 8, n(C::kPd), h.leave_presym);
+  a.put(base, 10, n(C::kSmU), h.leave_mild);
+  a.put(base, 12, n(C::kSmD), h.leave_mild);
+  a.put(base, 13, n(C::kSsU), h.leave_severe);
+  a.put(base, 15, n(C::kSsD), h.leave_severe);
+  a.put(base, 16, n(C::kHu), h.leave_hosp);
+  a.put(base, 18, n(C::kHd), h.leave_hosp);
+  a.put(base, 20, n(C::kCu), h.leave_icu);
+  a.put(base, 22, n(C::kCd), h.leave_icu);
+  a.put(base, 24, n(C::kHpU), h.leave_post_icu);
+  a.put(base, 25, n(C::kHpD), h.leave_post_icu);
   a.put(base, 26, n(C::kS), 1.0 - std::exp(-force_of_infection()));
   std::array<std::int64_t, 16> out_a;
   kt.binomial_lanes(eng_.seed_value(), eng_.stream_value(), a.seg.data(),
@@ -185,16 +190,12 @@ void ChainBinomialModel::draw_sites_segmented(
   // Stage B: splits and detections (depend on stage-A leaves).
   Batch b;
   b.put(base, 1, draw[0], p.fraction_symptomatic);
-  b.put(base, 3, n(C::kAu) - draw[2],
-        detect_hazard(p.detect_asymptomatic, p.asymptomatic_period));
+  b.put(base, 3, n(C::kAu) - draw[2], h.detect_asym);
   b.put(base, 6, draw[5], p.fraction_mild);
-  b.put(base, 7, n(C::kPu) - draw[5],
-        detect_hazard(p.detect_presymptomatic, p.presymptomatic_period));
+  b.put(base, 7, n(C::kPu) - draw[5], h.detect_presym);
   b.put(base, 9, draw[8], p.fraction_mild);
-  b.put(base, 11, n(C::kSmU) - draw[10],
-        detect_hazard(p.detect_mild, p.mild_period));
-  b.put(base, 14, n(C::kSsU) - draw[13],
-        detect_hazard(p.detect_severe, p.severe_period));
+  b.put(base, 11, n(C::kSmU) - draw[10], h.detect_mild);
+  b.put(base, 14, n(C::kSsU) - draw[13], h.detect_severe);
   b.put(base, 17, draw[16], p.fraction_critical);
   b.put(base, 19, draw[18], p.fraction_critical);
   b.put(base, 21, draw[20], p.fraction_death);
@@ -360,6 +361,7 @@ ChainBinomialModel ChainBinomialModel::restore(const Checkpoint& ckpt,
     m.transmission_.override_from(m.day_ + 1, *ovr.transmission_rate);
   }
   m.params_.validate();
+  m.probs_ = site_probs(m.params_);
   return m;
 }
 

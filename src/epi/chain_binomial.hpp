@@ -63,8 +63,18 @@ class ChainBinomialModel {
  private:
   ChainBinomialModel() = default;
 
-  /// Per-day exit probability for a mean sojourn (exponential hazard).
-  [[nodiscard]] static double exit_prob(double mean_days);
+  /// The per-day probabilities that depend only on durations and
+  /// detection fractions. Neither is restartable, so they are worked out
+  /// once, at construction and at restore, not on every day step.
+  struct SiteProbs {
+    // Exit hazard 1 - exp(-1/mean) per sojourn.
+    double leave_latent, leave_asym, leave_presym, leave_mild, leave_severe,
+        leave_hosp, leave_icu, leave_post_icu;
+    // Per-day detection hazard 1 - (1 - fraction)^(1/mean), approximating
+    // an overall detection fraction over the state's mean duration.
+    double detect_asym, detect_presym, detect_mild, detect_severe;
+  };
+  [[nodiscard]] static SiteProbs site_probs(const DiseaseParameters& p);
 
   /// Number of binomial draw sites in one day step (see step()).
   static constexpr std::size_t kDrawSites = 27;
@@ -83,6 +93,7 @@ class ChainBinomialModel {
   std::int32_t day_ = 0;
   Census counts_{};
   Trajectory trajectory_;
+  SiteProbs probs_{};
 };
 
 }  // namespace epismc::epi

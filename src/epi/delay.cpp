@@ -7,6 +7,13 @@
 
 namespace epismc::epi {
 
+namespace {
+// Longest BINV starting-mass table per conditional bin (2 KiB). The
+// cohorts that reach a bin's binomial are mostly small; a larger one
+// makes BINV call pow() as it does without a table.
+constexpr std::size_t kQPowCap = 256;
+}  // namespace
+
 double erlang_cdf(int shape, double scale, double x) {
   if (shape < 1) throw std::invalid_argument("erlang_cdf: shape must be >= 1");
   if (!(scale > 0.0)) throw std::invalid_argument("erlang_cdf: scale must be > 0");
@@ -62,6 +69,11 @@ DelayDistribution::DelayDistribution(double mean_days, int erlang_shape,
     mass -= pmf_[i];
     if (mass <= 0.0) break;
   }
+  for (const double c : cond_) {
+    const std::vector<double> t = rng::binomial_q_pow(c, kQPowCap);
+    q_pow_.insert(q_pow_.end(), t.begin(), t.end());
+    q_pow_end_.push_back(static_cast<std::uint32_t>(q_pow_.size()));
+  }
 }
 
 std::size_t DelayDistribution::split_into(rng::Engine& eng, std::int64_t count,
@@ -93,7 +105,10 @@ std::size_t DelayDistribution::split_into(rng::Engine& eng, std::int64_t count,
   std::int64_t remaining = count;
   std::size_t k = 0;
   for (; k < cond_.size() && remaining > 0; ++k) {
-    const std::int64_t draw = rng::binomial(eng, remaining, cond_[k]);
+    const std::size_t begin = k == 0 ? 0 : q_pow_end_[k - 1];
+    const std::span<const double> q_pow(q_pow_.data() + begin,
+                                        q_pow_end_[k] - begin);
+    const std::int64_t draw = rng::binomial(eng, remaining, cond_[k], q_pow);
     out[k] = draw;
     remaining -= draw;
   }
@@ -119,6 +134,52 @@ double DelayDistribution::mean() const noexcept {
     m += static_cast<double>(i + 1) * pmf_[i];
   }
   return m;
+}
+
+namespace {
+
+/// Cache key over the fields the delay tables depend on.
+struct DelayKey {
+  double durations[9];
+  int shape;
+  int max_delay;
+
+  friend bool operator==(const DelayKey& a, const DelayKey& b) {
+    for (int i = 0; i < 9; ++i) {
+      if (a.durations[i] != b.durations[i]) return false;
+    }
+    return a.shape == b.shape && a.max_delay == b.max_delay;
+  }
+};
+
+}  // namespace
+
+std::shared_ptr<const DelayTables> delay_tables(const DiseaseParameters& p) {
+  thread_local DelayKey cached_key{};
+  thread_local std::shared_ptr<const DelayTables> cached_tables;
+
+  const DelayKey key{{p.latent_period, p.presymptomatic_period,
+                      p.asymptomatic_period, p.mild_period, p.severe_period,
+                      p.hospital_period, p.hospital_to_icu, p.icu_period,
+                      p.post_icu_period},
+                     p.erlang_shape,
+                     p.max_delay};
+  if (cached_tables && cached_key == key) return cached_tables;
+  const int k = p.erlang_shape;
+  const int md = p.max_delay;
+  auto tables = std::make_shared<DelayTables>();
+  tables->latent = DelayDistribution(p.latent_period, k, md);
+  tables->presym = DelayDistribution(p.presymptomatic_period, k, md);
+  tables->asym = DelayDistribution(p.asymptomatic_period, k, md);
+  tables->mild = DelayDistribution(p.mild_period, k, md);
+  tables->severe = DelayDistribution(p.severe_period, k, md);
+  tables->hosp = DelayDistribution(p.hospital_period, k, md);
+  tables->hosp_icu = DelayDistribution(p.hospital_to_icu, k, md);
+  tables->icu = DelayDistribution(p.icu_period, k, md);
+  tables->posticu = DelayDistribution(p.post_icu_period, k, md);
+  cached_key = key;
+  cached_tables = tables;
+  return tables;
 }
 
 }  // namespace epismc::epi

@@ -11,9 +11,11 @@
 // cascades).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "epi/parameters.hpp"
 #include "random/distributions.hpp"
 
 namespace epismc::epi {
@@ -34,7 +36,9 @@ class DelayDistribution {
   /// binomials (O(max_delay) draws) -- identical distribution, different
   /// constants. The large path consumes exactly the draws of
   /// rng::multinomial(eng, count, pmf()) and yields the same bins, from
-  /// conditional probabilities precomputed at construction. Like it, the
+  /// conditional probabilities precomputed at construction, each drawn
+  /// with its rng::binomial_q_pow table (see rng::binomial for why the
+  /// table changes no value and no engine position). Like it, the
   /// large path throws std::invalid_argument when the pmf has a negative
   /// entry, which rounding can produce for long high-shape laws; such a
   /// table still serves sample_one() and small cohorts.
@@ -58,7 +62,36 @@ class DelayDistribution {
   // binomial draw; what is left lands in the last bin. Empty when a pmf
   // entry rounded below zero.
   std::vector<double> cond_;
+  // rng::binomial_q_pow(cond_[i], kQPowCap) for every bin, back to back:
+  // bin i's table is q_pow_[q_pow_end_[i - 1], q_pow_end_[i]) (from 0 for
+  // i = 0).
+  std::vector<double> q_pow_;
+  std::vector<std::uint32_t> q_pow_end_;
 };
+
+/// Immutable bundle of the nine discretized sojourn tables. Durations and
+/// the Erlang shape never change across checkpoint restarts (only branching
+/// fractions, infectiousness and transmission are restartable), so models
+/// share one bundle instead of re-deriving it -- restore sits on the SMC
+/// hot path.
+struct DelayTables {
+  DelayDistribution latent;
+  DelayDistribution presym;
+  DelayDistribution asym;
+  DelayDistribution mild;
+  DelayDistribution severe;
+  DelayDistribution hosp;
+  DelayDistribution hosp_icu;
+  DelayDistribution icu;
+  DelayDistribution posticu;
+};
+
+/// The sojourn tables for `p`'s durations, Erlang shape and max_delay,
+/// from a one-entry thread-local cache: particle loops construct and
+/// restore thousands of models with identical durations, so the hit rate
+/// is ~100%.
+[[nodiscard]] std::shared_ptr<const DelayTables> delay_tables(
+    const DiseaseParameters& p);
 
 /// Regularized lower incomplete gamma P(k, x) for integer k >= 1
 /// (the Erlang CDF): P(X <= x) with X ~ Erlang(k, scale 1).

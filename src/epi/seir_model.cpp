@@ -43,63 +43,8 @@ SeirModel::SeirModel(DiseaseParameters params, PiecewiseSchedule transmission,
       eng_(seed, stream) {
   params_.validate();
   counts_[index(Compartment::kS)] = params_.population;
-  acquire_delay_tables();
+  delays_ = delay_tables(params_);
   init_event_ring();
-}
-
-namespace {
-
-/// Cache key over the fields the delay tables depend on.
-struct DelayKey {
-  double durations[9];
-  int shape;
-  int max_delay;
-
-  friend bool operator==(const DelayKey& a, const DelayKey& b) {
-    for (int i = 0; i < 9; ++i) {
-      if (a.durations[i] != b.durations[i]) return false;
-    }
-    return a.shape == b.shape && a.max_delay == b.max_delay;
-  }
-};
-
-DelayKey make_delay_key(const DiseaseParameters& p) {
-  return DelayKey{{p.latent_period, p.presymptomatic_period,
-                   p.asymptomatic_period, p.mild_period, p.severe_period,
-                   p.hospital_period, p.hospital_to_icu, p.icu_period,
-                   p.post_icu_period},
-                  p.erlang_shape,
-                  p.max_delay};
-}
-
-}  // namespace
-
-void SeirModel::acquire_delay_tables() {
-  // One-entry thread-local cache: particle loops restore thousands of
-  // models with identical durations, so the hit rate is ~100%.
-  thread_local DelayKey cached_key{};
-  thread_local std::shared_ptr<const DelayTables> cached_tables;
-
-  const DelayKey key = make_delay_key(params_);
-  if (cached_tables && cached_key == key) {
-    delays_ = cached_tables;
-    return;
-  }
-  const int k = params_.erlang_shape;
-  const int md = params_.max_delay;
-  auto tables = std::make_shared<DelayTables>();
-  tables->latent = DelayDistribution(params_.latent_period, k, md);
-  tables->presym = DelayDistribution(params_.presymptomatic_period, k, md);
-  tables->asym = DelayDistribution(params_.asymptomatic_period, k, md);
-  tables->mild = DelayDistribution(params_.mild_period, k, md);
-  tables->severe = DelayDistribution(params_.severe_period, k, md);
-  tables->hosp = DelayDistribution(params_.hospital_period, k, md);
-  tables->hosp_icu = DelayDistribution(params_.hospital_to_icu, k, md);
-  tables->icu = DelayDistribution(params_.icu_period, k, md);
-  tables->posticu = DelayDistribution(params_.post_icu_period, k, md);
-  cached_key = key;
-  cached_tables = tables;
-  delays_ = std::move(tables);
 }
 
 void SeirModel::init_event_ring() {
@@ -508,7 +453,7 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
     m.transmission_.override_from(m.day_ + 1, *ovr.transmission_rate);
   }
   m.params_.validate();
-  m.acquire_delay_tables();
+  m.delays_ = delay_tables(m.params_);
   return m;
 }
 

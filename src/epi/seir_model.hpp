@@ -73,23 +73,6 @@ void check_archived_census(const Census& counts, std::int64_t population,
 
 }  // namespace detail
 
-/// Immutable bundle of the nine discretized sojourn tables. Durations and
-/// the Erlang shape never change across checkpoint restarts (only branching
-/// fractions, infectiousness and transmission are restartable), so restored
-/// models share tables through a thread-local cache instead of re-deriving
-/// them -- restore sits on the SMC hot path.
-struct DelayTables {
-  DelayDistribution latent;
-  DelayDistribution presym;
-  DelayDistribution asym;
-  DelayDistribution mild;
-  DelayDistribution severe;
-  DelayDistribution hosp;
-  DelayDistribution hosp_icu;
-  DelayDistribution icu;
-  DelayDistribution posticu;
-};
-
 class SeirModel {
  public:
   SeirModel(DiseaseParameters params, PiecewiseSchedule transmission,
@@ -158,7 +141,6 @@ class SeirModel {
 
   SeirModel() = default;  // used by restore()
 
-  void acquire_delay_tables();
   void init_event_ring();
   [[nodiscard]] std::size_t ring_slot(std::int32_t day) const noexcept {
     return static_cast<std::size_t>(day) % ring_.size();
@@ -190,7 +172,8 @@ class SeirModel {
   std::int64_t today_new_detected_ = 0;
   std::int64_t today_new_deaths_ = 0;
 
-  // Sojourn-time tables derived from params_ (not serialized; cached).
+  // Sojourn-time tables derived from params_ (not serialized; shared
+  // through delay_tables' cache).
   std::shared_ptr<const DelayTables> delays_;
 };
 

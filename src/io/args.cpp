@@ -1,6 +1,7 @@
 #include "io/args.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <type_traits>
 
@@ -8,8 +9,8 @@ namespace epismc::io {
 
 namespace {
 
-/// A flag value parsed whole: trailing characters, empty values and
-/// out-of-range numbers are errors naming the flag.
+/// A flag value parsed whole: trailing characters, empty values,
+/// out-of-range numbers, nan and inf are errors naming the flag.
 template <typename T>
 T parse_whole(const std::string& key, const std::string& value) {
   constexpr bool kInt = std::is_integral_v<T>;
@@ -21,12 +22,14 @@ T parse_whole(const std::string& key, const std::string& value) {
     } else {
       v = std::stod(value, &used);
     }
-    if (used == value.size()) return v;
+    if (used == value.size() && std::isfinite(static_cast<double>(v))) {
+      return v;
+    }
   } catch (const std::exception&) {
   }
   throw std::invalid_argument("--" + key + " expects " +
-                              (kInt ? "an integer" : "a number") + ", got '" +
-                              value + "'");
+                              (kInt ? "an integer" : "a finite number") +
+                              ", got '" + value + "'");
 }
 
 template <typename T>

@@ -26,8 +26,8 @@ class Args {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
-  /// Numbers must parse whole: "1e3" is not an integer, "12abc" is not a
-  /// number.
+  /// Numbers must parse whole and be finite: "1e3" is not an integer,
+  /// "12abc", "nan" and "inf" are not numbers.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

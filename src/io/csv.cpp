@@ -58,7 +58,7 @@ std::vector<double> CsvTable::column_as_double(const std::string& name) const {
       throw std::invalid_argument("CsvTable: column '" + name + "', line " +
                                   std::to_string(line_of(r)) + ": " + what);
     };
-    if (idx >= rows[r].size()) {
+    if (rows[r].size() != header.size()) {
       fail("the row has " + std::to_string(rows[r].size()) +
            " cell(s), the header " + std::to_string(header.size()));
     }

@@ -58,7 +58,7 @@ struct CsvTable {
   [[nodiscard]] std::size_t line_of(std::size_t row) const;
   /// Every cell of the column parsed whole as a finite number. A cell
   /// with trailing characters, an empty cell, nan, inf, a value out of
-  /// double range or a row too short to hold the column throws
+  /// double range or a row whose cell count is not the header's throws
   /// std::invalid_argument naming the column, the line and the cell.
   [[nodiscard]] std::vector<double> column_as_double(
       const std::string& name) const;

@@ -193,9 +193,24 @@ std::int64_t poisson(Engine& eng, double mean) {
 
 namespace {
 
+/// The probability BINV and BTPE run on: binomial() flips p > 1/2 and
+/// reflects the draw.
+double folded(double p) { return p > 0.5 ? 1.0 - p : p; }
+
+/// True when binomial() inverts (BINV) rather than rejects (BTPE).
+bool inverts(std::int64_t n, double pp) {
+  return static_cast<double>(n) * pp < 30.0;
+}
+
+/// BINV's starting mass q^n, the one expression behind both the search
+/// and binomial_q_pow.
+double start_mass(double q, double nd) { return std::pow(q, nd); }
+
 /// BINV: sequential-search inversion. Requires n*p modest so that q^n does
 /// not underflow; the dispatcher guarantees n*p < 30 and p <= 0.5 here.
-std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p) {
+/// `q_pow` is binomial_q_pow's table for this p, possibly empty.
+std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p,
+                                std::span<const double> q_pow) {
   const double q = 1.0 - p;
   const double nd = static_cast<double>(n);
   double u = uniform_double(eng);
@@ -206,7 +221,9 @@ std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p) {
   if (u < 1.0 - nd * (1.0 - q) - 0x1.0p-40) return 0;
   const double s = p / q;
   const double npq_a = static_cast<double>(n + 1) * s;
-  const double r0 = std::pow(q, nd);
+  const double r0 = static_cast<std::size_t>(n) < q_pow.size()
+                        ? q_pow[static_cast<std::size_t>(n)]
+                        : start_mass(q, nd);
   // The tail bound 110 + 10*sqrt(np) can only be exceeded with
   // probability ~1e-20; restarting keeps the sampler exact-in-practice
   // without risking an unbounded loop on degenerate float behaviour. It
@@ -337,7 +354,8 @@ std::int64_t binomial_btpe(Engine& eng, std::int64_t n, double p) {
 
 }  // namespace
 
-std::int64_t binomial(Engine& eng, std::int64_t n, double p) {
+std::int64_t binomial(Engine& eng, std::int64_t n, double p,
+                      std::span<const double> q_pow) {
   if (n < 0) throw std::invalid_argument("binomial: n must be >= 0");
   if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument("binomial: p must be in [0, 1]");
@@ -345,15 +363,25 @@ std::int64_t binomial(Engine& eng, std::int64_t n, double p) {
   if (n == 0 || p == 0.0) return 0;
   if (p == 1.0) return n;
 
-  const bool flipped = p > 0.5;
-  const double pp = flipped ? 1.0 - p : p;
-  std::int64_t x = 0;
-  if (static_cast<double>(n) * pp < 30.0) {
-    x = binomial_inversion(eng, n, pp);
-  } else {
-    x = binomial_btpe(eng, n, pp);
+  const double pp = folded(p);
+  const std::int64_t x = inverts(n, pp) ? binomial_inversion(eng, n, pp, q_pow)
+                                        : binomial_btpe(eng, n, pp);
+  return p > 0.5 ? n - x : x;
+}
+
+std::vector<double> binomial_q_pow(double p, std::size_t max_len) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("binomial_q_pow: p must be in [0, 1]");
   }
-  return flipped ? n - x : x;
+  std::vector<double> q_pow;
+  if (p == 0.0 || p == 1.0) return q_pow;
+  const double pp = folded(p);
+  const double q = 1.0 - pp;
+  for (std::size_t n = 0; n < max_len; ++n) {
+    if (!inverts(static_cast<std::int64_t>(n), pp)) break;
+    q_pow.push_back(start_mass(q, static_cast<double>(n)));
+  }
+  return q_pow;
 }
 
 // ---------------------------------------------------------------------------

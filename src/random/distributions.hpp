@@ -85,19 +85,34 @@ using Engine = PhiloxEngine;
 /// (Hoermann's transformed rejection) above.
 [[nodiscard]] std::int64_t poisson(Engine& eng, double mean);
 
-/// Binomial(n, p) draw; BINV inversion when n*min(p,1-p) < 30, BTPE
-/// (Kachitvichyanukul & Schmeiser 1988) otherwise. O(1) in n for the
-/// large regime, which matters: the epidemic simulator thins populations
-/// of millions every step.
+/// Binomial(n, p) draw; BINV inversion when n*p' < 30, BTPE
+/// (Kachitvichyanukul & Schmeiser 1988) otherwise, where p' = min(p, 1-p)
+/// is the probability both run on (p > 1/2 is flipped and the draw
+/// reflected). O(1) in n for the large regime, which matters: the
+/// epidemic simulator thins populations of millions every step.
 ///
-/// BINV draws its uniform u before computing q^n = pow(1-p, n) and
-/// returns 0 at once when u < 1 - n*p' - 2^-40, with p' = 1 - (1-p) for
-/// the p <= 1/2 it runs on. That is exact, not an approximation: q >= 1/2
-/// makes p' exact, Bernoulli's inequality gives q^n >= 1 - n*p', and the
-/// margin covers the rounding of both sides, so such a u also satisfies
-/// u <= pow(q, n) and the search would return 0 for the same single draw.
-/// Every value and every engine position match the plain search.
-[[nodiscard]] std::int64_t binomial(Engine& eng, std::int64_t n, double p);
+/// BINV draws its uniform u before computing q^n = pow(1-p', n) and
+/// returns 0 at once when u < 1 - n*(1-q) - 2^-40. That is exact, not an
+/// approximation: q >= 1/2 makes 1-q exact, Bernoulli's inequality gives
+/// q^n >= 1 - n*(1-q), and the margin covers the rounding of both sides,
+/// so such a u also satisfies u <= pow(q, n) and the search would return
+/// 0 for the same single draw. Every value and every engine position
+/// match the plain search.
+///
+/// `q_pow`, when not empty, must be binomial_q_pow(p, ...) for this same
+/// p. BINV then reads q^n from q_pow[n] when n < q_pow.size() and calls
+/// pow() only past the table's end. The table holds the very expression
+/// BINV evaluates, pow(1 - p', n) with p' folded the same way, through the
+/// same std::pow of the same binary, so every value and every engine
+/// position are those of the call without a table.
+[[nodiscard]] std::int64_t binomial(Engine& eng, std::int64_t n, double p,
+                                    std::span<const double> q_pow = {});
+
+/// BINV's starting masses for one fixed p: entry n is pow(1 - p', n) for
+/// every n < max_len with n*p' < 30, the sizes binomial() inverts. Empty
+/// when p is 0 or 1, which never reach BINV. Throws std::invalid_argument
+/// for p outside [0, 1].
+[[nodiscard]] std::vector<double> binomial_q_pow(double p, std::size_t max_len);
 
 /// Multinomial draw by conditional binomials: partitions `n` across
 /// `probs` (probs need not be normalized; they must be non-negative).

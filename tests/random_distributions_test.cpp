@@ -1,12 +1,15 @@
 // Distribution samplers: moment checks across parameter regimes
 // (parameterized sweeps cross the BINV/BTPE and mult/PTRS regime
-// boundaries), BINV draw-for-draw against the plain sequential search,
-// quantile function accuracy, and input validation.
+// boundaries), BINV draw-for-draw against the plain sequential search and
+// with its q^n table against without, quantile function accuracy, and
+// input validation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "random/distributions.hpp"
 
@@ -143,6 +146,58 @@ TEST(Binomial, InversionMatchesPlainSearchDrawForDraw) {
       }
     }
   }
+}
+
+TEST(Binomial, QPowTableMatchesPlainCallDrawForDraw) {
+  constexpr std::size_t kCap = 256;
+  constexpr int kDraws = 1000;
+  for (const double p : {1e-9, 0.05, 0.3, 0.5, std::nextafter(0.5, 1.0), 0.7,
+                         0.92, 1.0 - 1e-9}) {
+    const std::vector<double> q_pow = epismc::rng::binomial_q_pow(p, kCap);
+    const double pp = p > 0.5 ? 1.0 - p : p;
+    // Smallest n that binomial() hands to BTPE.
+    auto btpe_from = static_cast<std::int64_t>(std::ceil(30.0 / pp));
+    while (static_cast<double>(btpe_from - 1) * pp >= 30.0) --btpe_from;
+    while (static_cast<double>(btpe_from) * pp < 30.0) ++btpe_from;
+
+    // The table is BINV's own q^n over exactly the sizes it serves.
+    ASSERT_EQ(q_pow.size(),
+              std::min<std::size_t>(kCap, static_cast<std::size_t>(btpe_from)))
+        << "p=" << p;
+    for (std::size_t n = 0; n < q_pow.size(); ++n) {
+      ASSERT_EQ(q_pow[n], std::pow(1.0 - pp, static_cast<double>(n)))
+          << "p=" << p << " n=" << n;
+    }
+
+    const auto len = static_cast<std::int64_t>(q_pow.size());
+    std::vector<std::int64_t> sizes = {0,       1,       2,          17,
+                                       len - 1, len,     len + 1,    255,
+                                       256,     257,     btpe_from - 1,
+                                       btpe_from, btpe_from + 1, 1000,
+                                       100000,  2700000};
+    for (const std::int64_t n : sizes) {
+      if (n < 0) continue;
+      for (const std::uint64_t seed : {11ull, 20240051ull, 0xdecafull}) {
+        Engine tabled(seed, static_cast<std::uint64_t>(n));
+        Engine plain = tabled;
+        for (int i = 0; i < kDraws; ++i) {
+          const std::int64_t got = epismc::rng::binomial(tabled, n, p, q_pow);
+          const std::int64_t want = epismc::rng::binomial(plain, n, p);
+          ASSERT_EQ(got, want) << "p=" << p << " n=" << n << " seed " << seed
+                               << " draw " << i;
+          ASSERT_EQ(tabled.position(), plain.position())
+              << "p=" << p << " n=" << n << " seed " << seed << " draw " << i;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(epismc::rng::binomial_q_pow(0.0, kCap).empty());
+  EXPECT_TRUE(epismc::rng::binomial_q_pow(1.0, kCap).empty());
+  EXPECT_TRUE(epismc::rng::binomial_q_pow(0.3, 0).empty());
+  EXPECT_THROW((void)epismc::rng::binomial_q_pow(-0.1, kCap),
+               std::invalid_argument);
+  EXPECT_THROW((void)epismc::rng::binomial_q_pow(1.5, kCap),
+               std::invalid_argument);
 }
 
 // --- Poisson ----------------------------------------------------------------
