@@ -109,6 +109,26 @@ void BM_DelaySplit(benchmark::State& state) {
 }
 BENCHMARK(BM_DelaySplit)->Arg(16)->Arg(1000)->Arg(100000);
 
+void BM_DelaySampleOne(benchmark::State& state) {
+  // One delay draw, as every ABM transition and every SEIR cohort of 16 or
+  // fewer takes it: 0 = the latent law (mass in the first few bins), 1 =
+  // the hospital law (a longer scan from bin 0), 2 = a 512-bin table
+  // (guide entries past 255).
+  const epi::DiseaseParameters params;
+  const std::int64_t law = state.range(0);
+  const epi::DelayDistribution delay =
+      law == 0   ? epi::DelayDistribution(params.latent_period,
+                                          params.erlang_shape, params.max_delay)
+      : law == 1 ? epi::DelayDistribution(params.hospital_period,
+                                          params.erlang_shape, params.max_delay)
+                 : epi::DelayDistribution(300.0, 4, epi::kMaxDelayCeiling);
+  rng::Engine eng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(delay.sample_one(eng));
+  }
+}
+BENCHMARK(BM_DelaySampleOne)->ArgName("law")->Arg(0)->Arg(1)->Arg(2);
+
 void BM_PoissonPtrs(benchmark::State& state) {
   rng::Engine eng(5);
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "abm/agent_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -70,6 +71,7 @@ AgentBasedModel::AgentBasedModel(AbmConfig config,
         household_offsets_[hh + 1] - household_offsets_[hh]);
   }
   hot_pos_.assign(household_count(), kNoIndex);
+  hot_bits_.assign(hot_bit_words(), 0);
   rebuild_calendar();
 }
 
@@ -100,37 +102,58 @@ void AgentBasedModel::build_households() {
 }
 
 void AgentBasedModel::rebuild_population_index() {
-  const std::size_t n = state_.size();
-  // Household pressure classes are derived: one scan of the state array.
+  const auto corrupt = [](const char* what) {
+    return io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                            std::string("AgentBasedModel::restore: ") + what);
+  };
+  // Every step indexes counts_ by these bytes and household_ by agent id,
+  // so the arrays are checked against the archived population and census
+  // before anything is derived from them.
+  const auto n = static_cast<std::size_t>(config_.disease.population);
+  if (state_.size() != n || next_state_.size() != n || next_day_.size() != n) {
+    throw corrupt("agent arrays do not match the population");
+  }
+  // Household pressure classes and the hot bitmap are derived: one scan of
+  // the state array.
   hh_state_.assign(household_count(), HouseholdState{});
+  hot_bits_.assign(hot_bit_words(), 0);
+  epi::Census tally{};
   std::size_t hot_count = 0;
   for (std::size_t a = 0; a < n; ++a) {
+    if (state_[a] >= epi::kCompartmentCount ||
+        next_state_[a] >= epi::kCompartmentCount) {
+      throw corrupt("agent compartment out of range");
+    }
+    tally[state_[a]] += 1;
     const auto c = static_cast<epi::Compartment>(state_[a]);
+    const std::uint32_t hh = household_[a];
     if (c == epi::Compartment::kS) {
-      hh_state_[household_[a]].susceptible += 1;
+      hh_state_[hh].susceptible += 1;
       continue;
     }
     const int cls = epi::infectiousness_class(c);
     if (cls < 0) continue;
-    HouseholdState& hs = hh_state_[household_[a]];
+    HouseholdState& hs = hh_state_[hh];
     hs.cls[static_cast<std::size_t>(cls)] += 1;
-    if (hs.infectious++ == 0) ++hot_count;
+    if (hs.infectious++ == 0) {
+      ++hot_count;
+      set_hot_bit(hh);
+    }
+  }
+  if (tally != counts_) {
+    throw corrupt("census does not match the agent states");
   }
   // The hot set itself comes from the archive (its order is drained
   // verbatim by the fast engine); check it against the derived counts.
   hot_pos_.assign(household_count(), kNoIndex);
   if (hot_households_.size() != hot_count) {
-    throw io::ArchiveError(
-        io::ArchiveErrorKind::kCorrupt,
-        "AgentBasedModel::restore: hot-household set does not match state");
+    throw corrupt("hot-household set does not match state");
   }
   for (std::size_t i = 0; i < hot_households_.size(); ++i) {
     const std::uint32_t hh = hot_households_[i];
     if (hh >= household_count() || hot_pos_[hh] != kNoIndex ||
         hh_state_[hh].infectious == 0) {
-      throw io::ArchiveError(
-          io::ArchiveErrorKind::kCorrupt,
-          "AgentBasedModel::restore: corrupt hot-household set");
+      throw corrupt("corrupt hot-household set");
     }
     hot_pos_[hh] = static_cast<std::uint32_t>(i);
   }
@@ -211,6 +234,7 @@ void AgentBasedModel::exit_compartment(std::size_t a, epi::Compartment c) {
     hot_pos_[last] = pos;
     hot_households_.pop_back();
     hot_pos_[hh] = kNoIndex;
+    hot_bits_[hh / 64] &= ~(std::uint64_t{1} << (hh % 64));
   }
 }
 
@@ -280,6 +304,7 @@ void AgentBasedModel::enter(std::size_t a, epi::Compartment c) {
     if (hs.infectious++ == 0) {
       hot_pos_[hh] = static_cast<std::uint32_t>(hot_households_.size());
       hot_households_.push_back(hh);
+      set_hot_bit(hh);
     }
   }
 
@@ -542,13 +567,19 @@ void AgentBasedModel::step_infections_fast() {
   };
   // Small hot sets walk the (insertion-ordered, serialized) list: cost is
   // O(hot households), independent of population. Once the hot set covers
-  // a sizable share of all households, an ascending full scan wins -- the
+  // a sizable share of all households, an ascending scan wins -- the
   // list's scattered order costs a cache miss per household, while the
   // scan streams the household-state/offset/agent arrays in memory order.
-  // The switch depends only on serialized state, so replays stay bit-exact.
+  // The scan walks the hot bitmap word by word, so cold households cost a
+  // bit, not a household-state load and branch; the visit order is the
+  // ascending order either way. The switch depends only on serialized
+  // state, so replays stay bit-exact.
   if (hot_households_.size() * 16 >= household_count()) {
-    for (std::uint32_t hh = 0; hh < household_count(); ++hh) {
-      if (hh_state_[hh].infectious != 0) visit_household(hh);
+    for (std::size_t w = 0; w < hot_bits_.size(); ++w) {
+      for (std::uint64_t bits = hot_bits_[w]; bits != 0; bits &= bits - 1) {
+        visit_household(
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
     }
   } else {
     for (const std::uint32_t hh : hot_households_) visit_household(hh);

@@ -26,7 +26,13 @@
 //                    community force draws the day's infection count as
 //                    one aggregated Binomial(S, p_comm), victims picked
 //                    uniformly without replacement. Day cost is
-//                    O(epidemic activity), not O(population).
+//                    O(epidemic activity), not O(population). The
+//                    household pass walks the insertion-ordered hot list
+//                    while fewer than 1/16 of households are hot, and in
+//                    scan mode above that walks a bitmap of hot households
+//                    in ascending order, skipping cold households word by
+//                    word. The bitmap is derived from the state arrays,
+//                    not archived.
 //   kReference       the historical three-scan engine: every agent is
 //                    visited every day. O(population) per day, but the
 //                    per-agent draw sequence is the original one -- kept
@@ -127,7 +133,9 @@ class AgentBasedModel {
 
   [[nodiscard]] epi::Checkpoint make_checkpoint() const;
   /// Archived fields that fail validation (disease parameters, household
-  /// size or share, a census that does not sum to the population) throw
+  /// size or share, a census that does not sum to the population, agent
+  /// arrays not `population` long, a state byte that is no compartment, a
+  /// census that does not tally the agent states) throw
   /// io::ArchiveError(kCorrupt); an invalid override in `ovr` throws
   /// std::invalid_argument.
   [[nodiscard]] static AgentBasedModel restore(const epi::Checkpoint& ckpt,
@@ -146,9 +154,16 @@ class AgentBasedModel {
   AgentBasedModel() = default;
 
   void build_households();
-  /// Restore-time: index the archived susceptible list and hot set, and
-  /// rebuild the household pressure classes from the state arrays.
+  /// Restore-time: check the agent arrays against the population and
+  /// census, index the archived hot set, and rebuild the household
+  /// pressure classes and hot bitmap from the state arrays.
   void rebuild_population_index();
+  [[nodiscard]] std::size_t hot_bit_words() const noexcept {
+    return (household_count() + 63) / 64;
+  }
+  void set_hot_bit(std::uint32_t hh) noexcept {
+    hot_bits_[hh / 64] |= std::uint64_t{1} << (hh % 64);
+  }
   /// Bucket count of the calendar ring implied by the disease parameters.
   [[nodiscard]] std::size_t calendar_length() const noexcept;
   /// Restore-time sanity checks on the archived calendar ring.
@@ -223,6 +238,10 @@ class AgentBasedModel {
   std::vector<HouseholdState> hh_state_;
   std::vector<std::uint32_t> hot_households_;  // hot set, insertion-ordered
   std::vector<std::uint32_t> hot_pos_;         // slot per household / kNoIndex
+  // Bit hh set iff household hh is hot: the same set as hot_households_,
+  // in ascending order, for the fast engine's scan mode. Derived state,
+  // updated where the list is and rebuilt on restore; never serialized.
+  std::vector<std::uint64_t> hot_bits_;
 
   // Calendar queue: bucket ring indexed by due day modulo the ring length,
   // sized past the longest schedulable delay so a push can never land in

@@ -12,6 +12,9 @@ namespace {
 // cohorts that reach a bin's binomial are mostly small; a larger one
 // makes BINV call pow() as it does without a table.
 constexpr std::size_t kQPowCap = 256;
+// Guide-table cells of inverse_cdf. A power of two, so u * kGuideCells and
+// j / kGuideCells are exact for every 53-bit uniform u.
+constexpr std::size_t kGuideCells = 128;
 }  // namespace
 
 double erlang_cdf(int shape, double scale, double x) {
@@ -54,6 +57,19 @@ DelayDistribution::DelayDistribution(double mean_days, int erlang_shape,
   cdf_.resize(pmf_.size());
   std::partial_sum(pmf_.begin(), pmf_.end(), cdf_.begin());
   cdf_.back() = 1.0;
+  // First bin reaching each cell's lower edge. Every bin before cell j's
+  // answer has cdf_ < j/128 < (j+1)/128, so cell j+1 resumes from it, even
+  // where rounding leaves cdf_ non-monotone (a first pmf bin just below
+  // zero); cdf_.back() = 1 ends every search. Past 65535 bins (beyond
+  // kMaxDelayCeiling) the clamp starts scans early, which stays exact.
+  guide_.resize(kGuideCells);
+  std::size_t first = 0;
+  for (std::size_t j = 0; j < kGuideCells; ++j) {
+    const double edge = static_cast<double>(j) / kGuideCells;
+    while (cdf_[first] < edge) ++first;
+    guide_[j] = static_cast<std::uint16_t>(
+        std::min<std::size_t>(first, UINT16_MAX));
+  }
 
   // The pmf never changes, so rng::multinomial's per-call validation and
   // mass bookkeeping are done once here, in its order and arithmetic. The
@@ -120,9 +136,16 @@ std::size_t DelayDistribution::split_into(rng::Engine& eng, std::int64_t count,
 }
 
 int DelayDistribution::sample_one(rng::Engine& eng) const {
+  return inverse_cdf(rng::uniform_double(eng));
+}
+
+int DelayDistribution::inverse_cdf(double u) const {
   if (cdf_.empty()) throw std::logic_error("DelayDistribution: not built");
-  const double u = rng::uniform_double(eng);
-  for (std::size_t i = 0; i < cdf_.size(); ++i) {
+  std::size_t i = 0;
+  if (u >= 0.0 && u < 1.0) {
+    i = guide_[static_cast<std::size_t>(u * kGuideCells)];
+  }
+  for (; i < cdf_.size(); ++i) {
     if (u <= cdf_[i]) return static_cast<int>(i) + 1;
   }
   return static_cast<int>(cdf_.size());

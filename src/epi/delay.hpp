@@ -45,8 +45,20 @@ class DelayDistribution {
   [[nodiscard]] std::size_t split_into(rng::Engine& eng, std::int64_t count,
                                        std::span<std::int64_t> out) const;
 
-  /// Sample a single delay in days (>= 1).
+  /// Sample a single delay in days (>= 1): inverse_cdf of one
+  /// rng::uniform_double draw.
   [[nodiscard]] int sample_one(rng::Engine& eng) const;
+
+  /// The delay (>= 1) of the first bin whose cdf is >= u, or max_delay()
+  /// when there is none. The scan starts at guide()[floor(u * 128)] for u
+  /// in [0, 1) instead of bin 0; every bin it skips has cdf < j/128 <= u,
+  /// so the result is the plain linear scan's for every u.
+  [[nodiscard]] int inverse_cdf(double u) const;
+
+  /// guide()[j] is the first bin i with cdf[i] >= j/128, j in [0, 128).
+  [[nodiscard]] std::span<const std::uint16_t> guide() const noexcept {
+    return guide_;
+  }
 
   [[nodiscard]] std::span<const double> pmf() const noexcept { return pmf_; }
   [[nodiscard]] double mean() const noexcept;
@@ -57,6 +69,9 @@ class DelayDistribution {
  private:
   std::vector<double> pmf_;  // pmf_[i] = P(delay == i + 1 days)
   std::vector<double> cdf_;
+  // Guide table of inverse_cdf; uint16_t because max_delay can reach
+  // kMaxDelayCeiling = 512 bins. Empty until built.
+  std::vector<std::uint16_t> guide_;
   // cond_[i] = P(delay == i + 1 | delay > i), clamped to [0, 1], with the
   // arithmetic and order of rng::multinomial. Bins [0, cond_.size()) get a
   // binomial draw; what is left lands in the last bin. Empty when a pmf

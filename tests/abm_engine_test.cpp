@@ -129,6 +129,99 @@ TEST(AbmFastEngine, SeedExposedHandlesScarceSusceptibles) {
   EXPECT_THROW(m.seed_exposed(1), std::invalid_argument);
 }
 
+// --- Household-pass modes. ---------------------------------------------------
+//
+// The fast engine's household pass walks the insertion-ordered hot list
+// while fewer than 1/16 of households are hot and scans a hot bitmap in
+// ascending household order above that. A 20k-agent epidemic crosses the
+// threshold both ways; its trajectory and final checkpoint bytes are pinned
+// by one digest, so a change to either mode's visit order or draws shows
+// as a digest change.
+
+constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
+
+std::uint64_t fnv(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t digest(const AgentBasedModel& m) {
+  std::uint64_t h = kFnvSeed;
+  const epi::Trajectory& t = m.trajectory();
+  for (std::size_t d = 0; d < t.size(); ++d) {
+    const epi::DailyRecord& r = t[d];
+    for (const std::int64_t v :
+         {std::int64_t{r.day}, r.new_infections, r.new_detected_cases,
+          r.new_deaths, r.hospital_census, r.icu_census, r.infectious_census,
+          r.susceptible}) {
+      h = fnv(h, &v, sizeof v);
+    }
+  }
+  const epi::Checkpoint ckpt = m.make_checkpoint();
+  return fnv(h, ckpt.bytes.data(), ckpt.bytes.size());
+}
+
+constexpr int kModeDays = 90;
+
+/// Whether the day just stepped used scan mode. Infections only create
+/// exposed (non-infectious) agents, so the hot set after step() is the one
+/// the household pass chose its mode from.
+bool scanned(const AgentBasedModel& m) {
+  return m.hot_household_count() * 16 >= m.household_count();
+}
+
+TEST(AbmFastEngine, HouseholdPassModesArePinned) {
+  AgentBasedModel m = seeded(AbmEngine::kFast, 29, 0.4, 60, 20000);
+  int list_days = 0;
+  int scan_days = 0;
+  for (int day = 1; day <= kModeDays; ++day) {
+    m.step();
+    ++(scanned(m) ? scan_days : list_days);
+  }
+  EXPECT_GT(list_days, 0);
+  EXPECT_GT(scan_days, 0);
+  EXPECT_EQ(digest(m), 0xd6496b9bcdeee3a3ull)
+      << "scan days " << scan_days << ", list days " << list_days;
+}
+
+TEST(AbmFastEngine, ScanModeRestoreAndBranchStepBitIdentically) {
+  AgentBasedModel live = seeded(AbmEngine::kFast, 29, 0.4, 60, 20000);
+  while (!scanned(live)) {
+    live.step();
+    ASSERT_LT(live.day(), kModeDays) << "the hot set never crossed 1/16";
+  }
+  const epi::Checkpoint ckpt = live.make_checkpoint();
+  const AgentBasedModel prototype = AgentBasedModel::restore(ckpt);
+
+  AgentBasedModel uninterrupted = live;
+  uninterrupted.run_until_day(kModeDays);
+  AgentBasedModel resumed = prototype;
+  resumed.run_until_day(kModeDays);
+  EXPECT_EQ(digest(resumed), digest(uninterrupted));
+
+  // Copy + branch of the live model and of the restored prototype (the
+  // batch path) against a restore with the same overrides.
+  epi::RestartOverrides ovr;
+  ovr.seed = 71;
+  ovr.stream = 3;
+  ovr.transmission_rate = 0.3;
+  AgentBasedModel branched_live = live;
+  branched_live.branch(71, 3, 0.3);
+  branched_live.run_until_day(kModeDays);
+  AgentBasedModel branched_copy = prototype;
+  branched_copy.branch(71, 3, 0.3);
+  branched_copy.run_until_day(kModeDays);
+  AgentBasedModel overridden = AgentBasedModel::restore(ckpt, ovr);
+  overridden.run_until_day(kModeDays);
+  EXPECT_EQ(digest(branched_copy), digest(branched_live));
+  EXPECT_EQ(digest(overridden), digest(branched_live));
+  EXPECT_NE(digest(branched_live), digest(uninterrupted));
+}
+
 // --- Cross-engine interoperability. ----------------------------------------
 
 TEST(AbmEngineInterop, ReferenceCheckpointRestoresIntoFastEngine) {

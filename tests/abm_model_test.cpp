@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstring>
 #include <numeric>
 
@@ -248,6 +250,89 @@ TEST(AbmModel, ArchivedCensusNotSummingToPopulationIsCorrupt) {
   ASSERT_GT(s, 0);
   const epi::Checkpoint bad = overwrite(good, at, s - 1);
   expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, "census");
+}
+
+/// Byte offsets of the three archived agent arrays' length fields (each a
+/// uint64 count followed by the elements): state, next_state, next_day.
+std::array<std::size_t, 3> agent_array_offsets(const epi::Checkpoint& ckpt) {
+  io::BinaryReader in{ckpt.bytes};
+  skip_to_census(in);
+  (void)in.read<epi::Census>();
+  std::array<std::size_t, 3> at{};
+  at[0] = ckpt.bytes.size() - in.remaining();
+  (void)in.read_vector<std::uint8_t>();
+  at[1] = ckpt.bytes.size() - in.remaining();
+  (void)in.read_vector<std::uint8_t>();
+  at[2] = ckpt.bytes.size() - in.remaining();
+  return at;
+}
+
+TEST(AbmModel, ArchivedShortAgentArrayIsCorrupt) {
+  const epi::Checkpoint good = mid_epidemic_checkpoint(89);
+  const auto at = agent_array_offsets(good);
+  const std::array<std::size_t, 3> element = {sizeof(std::uint8_t),
+                                              sizeof(std::uint8_t),
+                                              sizeof(std::int32_t)};
+  const char* names[] = {"state", "next_state", "next_day"};
+  for (std::size_t k = 0; k < at.size(); ++k) {
+    // Drop the array's last element and shorten its count to match, so
+    // the archive still parses field by field.
+    std::uint64_t n = 0;
+    std::memcpy(&n, good.bytes.data() + at[k], sizeof n);
+    ASSERT_EQ(n, 20000u);
+    epi::Checkpoint bad = overwrite(good, at[k], n - 1);
+    const std::size_t last = at[k] + sizeof n + (n - 1) * element[k];
+    bad.bytes.erase(bad.bytes.begin() + static_cast<std::ptrdiff_t>(last),
+                    bad.bytes.begin() +
+                        static_cast<std::ptrdiff_t>(last + element[k]));
+    expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, names[k]);
+  }
+}
+
+TEST(AbmModel, ArchivedInvalidCompartmentIsCorrupt) {
+  // A scheduled exposed agent whose state (or destination) byte names no
+  // compartment: the first step would index the census with it.
+  const epi::Checkpoint good = mid_epidemic_checkpoint(97);
+  const auto at = agent_array_offsets(good);
+  const std::size_t state = at[0] + sizeof(std::uint64_t);
+  const std::size_t next_state = at[1] + sizeof(std::uint64_t);
+  std::size_t agent = 0;
+  while (static_cast<epi::Compartment>(
+             std::to_integer<std::uint8_t>(good.bytes[state + agent])) !=
+         epi::Compartment::kE) {
+    ++agent;
+    ASSERT_LT(agent, 20000u) << "no exposed agent at day 10";
+  }
+  expect_corrupt(
+      [&] {
+        (void)AgentBasedModel::restore(
+            overwrite(good, state + agent, std::uint8_t{250}));
+      },
+      "state byte");
+  expect_corrupt(
+      [&] {
+        (void)AgentBasedModel::restore(
+            overwrite(good, next_state + agent, std::uint8_t{250}));
+      },
+      "next_state byte");
+}
+
+TEST(AbmModel, ArchivedCensusNotTallyingAgentStatesIsCorrupt) {
+  // An S agent re-labelled E: the census still sums to the population but
+  // no longer counts the agents in each compartment.
+  const epi::Checkpoint good = mid_epidemic_checkpoint(101);
+  const std::size_t state =
+      agent_array_offsets(good)[0] + sizeof(std::uint64_t);
+  std::size_t agent = 0;
+  while (static_cast<epi::Compartment>(
+             std::to_integer<std::uint8_t>(good.bytes[state + agent])) !=
+         epi::Compartment::kS) {
+    ++agent;
+  }
+  const epi::Checkpoint bad =
+      overwrite(good, state + agent,
+                static_cast<std::uint8_t>(epi::Compartment::kE));
+  expect_corrupt([&] { (void)AgentBasedModel::restore(bad); }, "tally");
 }
 
 // A corrupt calendar length fails typed before the restore allocates the

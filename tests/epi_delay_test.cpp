@@ -1,7 +1,8 @@
 // Discretized Erlang sojourn distributions: pmf normalization, mean
 // preservation, minimum one-day delay, cohort splitting (draw for draw
-// against rng::multinomial and per-individual sampling), and the Erlang CDF
-// against closed-form references.
+// against rng::multinomial and per-individual sampling), single draws
+// (the guide-table inversion against the linear scan it replaced), and the
+// Erlang CDF against closed-form references.
 
 #include <gtest/gtest.h>
 
@@ -204,6 +205,109 @@ TEST(DelayDistribution, SampleOneWithinSupport) {
     mean += delay;
   }
   EXPECT_NEAR(mean / kDraws, d.mean(), 0.05);
+}
+
+// --- inverse_cdf's guide table against the linear scan it replaced. -------
+
+/// The cdf the constructor builds from the pmf.
+std::vector<double> cdf_of(const DelayDistribution& d) {
+  const auto pmf = d.pmf();
+  std::vector<double> cdf(pmf.size());
+  std::partial_sum(pmf.begin(), pmf.end(), cdf.begin());
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+/// sample_one's inversion before the guide table, verbatim: a linear scan
+/// from bin 0.
+int linear_scan(const std::vector<double>& cdf_, double u) {
+  for (std::size_t i = 0; i < cdf_.size(); ++i) {
+    if (u <= cdf_[i]) return static_cast<int>(i) + 1;
+  }
+  return static_cast<int>(cdf_.size());
+}
+
+/// The nine default laws, a law concentrated on day one, the shortest
+/// table, the longest table (guide entries past 255) and a law whose first
+/// pmf bin rounds below zero, so its cdf is not monotone.
+std::vector<DelayDistribution> guide_oracle_tables() {
+  const epismc::epi::DiseaseParameters p;
+  std::vector<DelayDistribution> tables;
+  for (const double mean :
+       {p.latent_period, p.presymptomatic_period, p.asymptomatic_period,
+        p.mild_period, p.severe_period, p.hospital_period, p.hospital_to_icu,
+        p.icu_period, p.post_icu_period}) {
+    tables.emplace_back(mean, p.erlang_shape, p.max_delay);
+  }
+  tables.emplace_back(0.3, 1, p.max_delay);
+  tables.emplace_back(p.latent_period, p.erlang_shape, 2);
+  tables.emplace_back(300.0, 4, epismc::epi::kMaxDelayCeiling);
+  tables.emplace_back(200.0, 10, p.max_delay);
+  return tables;
+}
+
+TEST(DelayDistribution, GuideTableCoversTheEdgeCases) {
+  const auto tables = guide_oracle_tables();
+  const DelayDistribution& longest = tables[tables.size() - 2];
+  const DelayDistribution& negative_first = tables.back();
+  ASSERT_EQ(longest.max_delay(), epismc::epi::kMaxDelayCeiling);
+  EXPECT_GT(*std::max_element(longest.guide().begin(), longest.guide().end()),
+            255);
+  ASSERT_LT(negative_first.pmf()[0], 0.0);
+}
+
+TEST(DelayDistribution, GuideEntryIsFirstBinReachingItsCell) {
+  const auto tables = guide_oracle_tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const std::vector<double> cdf = cdf_of(tables[t]);
+    const auto guide = tables[t].guide();
+    ASSERT_EQ(guide.size(), 128u);
+    for (std::size_t j = 0; j < guide.size(); ++j) {
+      const double edge = static_cast<double>(j) / 128.0;
+      std::size_t first = 0;
+      while (cdf[first] < edge) ++first;
+      EXPECT_EQ(guide[j], first) << "table " << t << " cell " << j;
+    }
+  }
+}
+
+TEST(DelayDistribution, InverseCdfMatchesLinearScanAtCellEdges) {
+  const auto tables = guide_oracle_tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const std::vector<double> cdf = cdf_of(tables[t]);
+    for (int j = 0; j <= 128; ++j) {
+      const double edge = static_cast<double>(j) / 128.0;
+      for (const double u : {std::nextafter(edge, -1.0), edge,
+                             std::nextafter(edge, 2.0)}) {
+        ASSERT_EQ(tables[t].inverse_cdf(u), linear_scan(cdf, u))
+            << "table " << t << " u " << u;
+      }
+    }
+    // Every cdf value and its neighbours: the ties the scan breaks.
+    for (const double c : cdf) {
+      for (const double u :
+           {std::nextafter(c, -1.0), c, std::nextafter(c, 2.0)}) {
+        ASSERT_EQ(tables[t].inverse_cdf(u), linear_scan(cdf, u))
+            << "table " << t << " u " << u;
+      }
+    }
+  }
+}
+
+TEST(DelayDistribution, SampleOneMatchesLinearScanDrawForDraw) {
+  const auto tables = guide_oracle_tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const std::vector<double> cdf = cdf_of(tables[t]);
+    Engine eng(20240046, t);
+    Engine oracle_eng = eng;
+    for (int i = 0; i < 20000; ++i) {
+      const int expected =
+          linear_scan(cdf, epismc::rng::uniform_double(oracle_eng));
+      ASSERT_EQ(tables[t].sample_one(eng), expected)
+          << "table " << t << " draw " << i;
+    }
+    ASSERT_EQ(eng.position(), oracle_eng.position()) << "table " << t;
+  }
 }
 
 TEST(DelayDistribution, HigherShapeIsLessDispersed) {
